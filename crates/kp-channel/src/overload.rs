@@ -57,7 +57,7 @@ pub struct OverloadConfig {
     /// Soft cap on a shard's resident values; a send finding the depth
     /// gauge above it is refused `Full`. `None` disables depth
     /// admission. Meaningful for unbounded engines; engines without a
-    /// depth gauge (`stats` feature off) ignore it.
+    /// depth gauge ignore it.
     pub depth_quota: Option<usize>,
     /// Cap on a shard's *per-tick growth* of the memory-pressure
     /// signal (engine cache/pool overflow events). Growth is compared
@@ -296,7 +296,7 @@ impl ShardHealth {
         match self.state() {
             HealthState::Healthy => {
                 // Suspicion needs a drain gauge to baseline against;
-                // without one (stats off) the oracle cannot run.
+                // without one the oracle cannot run.
                 if let (true, Some(drained)) = (self.overloaded(g, cfg), g.drained) {
                     self.baseline_drained.store(drained, Ordering::Relaxed);
                     self.stall_ticks.store(0, Ordering::Relaxed);
@@ -535,8 +535,8 @@ mod tests {
 
     #[test]
     fn no_drain_gauge_means_no_quarantine() {
-        // stats feature off: drained is None — the oracle cannot
-        // baseline, so it must refuse to suspect at all.
+        // An engine without a drain gauge: drained is None — the oracle
+        // cannot baseline, so it must refuse to suspect at all.
         let h = ShardHealth::new();
         let c = cfg();
         let blind = Gauges { depth: Some(1_000), capacity: None, drained: None, pressure: 0 };

@@ -25,9 +25,10 @@ use crate::stats::Stats;
 ///
 /// The handle also owns the thread's node-reuse cache (§3.3 "reuse the
 /// descriptor objects" taken to the node level): sentinels unlinked by
-/// this thread's head swings are recycled into its future enqueues once
-/// the epoch rule proves no reader can still hold them, making the
-/// steady-state operation path allocation-free.
+/// this thread's head swings are recycled into its future enqueues — or,
+/// through the queue's shared pool, into any handle's — once the epoch
+/// rule proves no reader can still hold them, making the steady-state
+/// operation path allocation-free.
 ///
 /// Dropping a handle whose operation is still pending (a panic unwound
 /// out of `enqueue`/`dequeue` mid-protocol) first drives that operation
@@ -54,10 +55,12 @@ pub struct WfHandle<'q, T: Send> {
     /// Consecutive fast-path completions since the last starvation
     /// peek (see `Config::starvation_patience`).
     fast_streak: usize,
-    /// Plain (non-atomic, handle-local) fast/slow counters — always
-    /// collected, unlike the feature-gated shared `Stats`, so benches
-    /// can report fallback rates without perturbing the hot path.
-    local_stats: FastPathStats,
+    /// This tid's counter block in the queue (`crate::stats`).
+    cells: &'q Stats,
+    /// The block's fast/slow counters when this handle registered, so
+    /// [`fast_path_stats`](Self::fast_path_stats) reports this handle's
+    /// share of a block the tid's earlier holders also wrote.
+    fast_base: FastPathStats,
     /// Panic-recovery tracker: a node allocated for the fast path that
     /// is still *private* (never published by an append CAS or a
     /// descriptor publish). If an unwind escapes the operation while
@@ -86,6 +89,7 @@ unsafe impl<T: Send> Send for WfHandle<'_, T> {}
 impl<'q, T: Send> WfHandle<'q, T> {
     pub(crate) fn new(queue: &'q WfQueue<T>, id: IdGuard<'q>) -> Self {
         let tid = id.id();
+        let cells = &queue.stats[tid];
         WfHandle {
             queue,
             id,
@@ -95,7 +99,8 @@ impl<'q, T: Send> WfHandle<'q, T> {
             cache: RetireCache::new(queue.config().reuse_nodes),
             max_fast_failures: queue.config().max_fast_failures,
             fast_streak: 0,
-            local_stats: FastPathStats::default(),
+            cells,
+            fast_base: cells.fast_path_since(&FastPathStats::default()),
             inflight: ptr::null_mut(),
             deq_in_flight: false,
             epoch_token: 0,
@@ -114,10 +119,10 @@ impl<'q, T: Send> WfHandle<'q, T> {
         self.max_fast_failures = max_fast_failures;
     }
 
-    /// This handle's fast/slow execution counters (always collected,
-    /// independent of the `stats` cargo feature).
+    /// This handle's fast/slow execution counters, read from the same
+    /// per-tid cells that [`WfQueue::stats`] sums.
     pub fn fast_path_stats(&self) -> FastPathStats {
-        self.local_stats
+        self.cells.fast_path_since(&self.fast_base)
     }
 
     /// This handle's virtual thread ID (index into the `state` array).
@@ -142,15 +147,16 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// A node ready to carry `value`: recycled from this handle's cache
-    /// when a mature one exists, freshly allocated otherwise.
+    /// or the shared pool when a mature one exists, freshly allocated
+    /// otherwise.
     fn alloc_node(&mut self, value: T, tid: usize) -> *mut Node<T> {
-        if let Some(node) = self.cache.pop_mature() {
-            Stats::bump(&self.queue.stats.node_reuses);
-            // SAFETY: maturity (`RetireCache::pop_mature`) makes us the
-            // unique owner — no pin that could still observe the node
-            // remains. The publish that follows in the caller is a
-            // SeqCst store, releasing these plain/Relaxed writes to any
-            // helper that reads the node through the descriptor.
+        if let Some(node) = self.cache.pop(&self.queue.pool) {
+            self.cells.node_reuses.bump();
+            // SAFETY: maturity (`RetireCache::pop`) makes us the unique
+            // owner — no pin that could still observe the node remains.
+            // The publish that follows in the caller is a SeqCst store,
+            // releasing these plain/Relaxed writes to any helper that
+            // reads the node through the descriptor.
             unsafe {
                 (*node).next.store(epoch::Shared::null(), kp_sync::atomic::Ordering::Relaxed);
                 (*node).deq_tid.store(NO_DEQUEUER, kp_sync::atomic::Ordering::Relaxed);
@@ -159,7 +165,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
             }
             node
         } else {
-            Stats::bump(&self.queue.stats.node_allocs);
+            self.cells.node_allocs.bump();
             Box::into_raw(Box::new(Node::new(Some(value), tid)))
         }
     }
@@ -342,11 +348,10 @@ impl<'q, T: Send> WfHandle<'q, T> {
             // unwind escapes after the publishing CAS.
             self.inflight = node;
             let budget = self.max_fast_failures;
-            if q.try_fast_enqueue(node, budget, &mut self.inflight, guard) {
+            if q.try_fast_enqueue(node, budget, &mut self.inflight, tid, guard) {
                 self.fast_streak += 1;
-                self.local_stats.fast_completions += 1;
-                Stats::bump(&q.stats.fast_completions);
-                Stats::bump(&q.stats.enqueues);
+                self.cells.fast_completions.bump();
+                self.cells.enqueues.bump();
                 return;
             }
             // Exhausted: every append CAS failed, so the node was
@@ -354,20 +359,18 @@ impl<'q, T: Send> WfHandle<'q, T> {
             // Rebrand it with our real tid and fall back to the
             // wait-free slow path.
             self.fast_streak = 0;
-            self.local_stats.fast_exhaustions += 1;
-            Stats::bump(&q.stats.fast_exhaustions);
+            self.cells.fast_exhaustions.bump();
             // SAFETY: exclusive ownership (see above); helpers only
             // read `enq_tid` after the descriptor publish below,
             // whose SeqCst store releases this write.
             unsafe { (*node).enq_tid = tid };
             inject!("kp.fast.demote");
-            self.local_stats.slow_ops += 1;
-            let phase = q.next_phase(); // L62
+            self.cells.slow_ops.bump();
+            let phase = q.next_phase(tid); // L62
             self.slow_enqueue_publish(phase, node, guard);
             return;
         }
-        self.local_stats.fast_starvation_demotions += 1;
-        Stats::bump(&q.stats.fast_starvation_demotions);
+        self.cells.fast_starvation_demotions.bump();
         // Demote to the slow path, which helps the starved peer (its
         // slot is at our help cursor).
         self.slow_enqueue(value, guard);
@@ -378,8 +381,8 @@ impl<'q, T: Send> WfHandle<'q, T> {
     fn slow_enqueue(&mut self, value: T, guard: &Guard) {
         let q = self.queue;
         let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L62
+        self.cells.slow_ops.bump();
+        let phase = q.next_phase(tid); // L62
         // The injection point sits before the node is prepared so a
         // simulated crash here leaks nothing: the value is still a plain
         // local, dropped by the unwind.
@@ -402,7 +405,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         self.inflight = ptr::null_mut();
         self.run_help(phase, true, guard); // L64
         q.help_finish_enq(guard); // L65 (see the paper's L65 argument)
-        Stats::bump(&q.stats.enqueues);
+        self.cells.enqueues.bump();
     }
 
     /// `deq()`, Figure 6 L98–108, preceded by the bounded fast path
@@ -457,24 +460,22 @@ impl<'q, T: Send> WfHandle<'q, T> {
     fn dequeue_fast_first(&mut self, guard: &Guard) -> Option<T> {
         let q = self.queue;
         if !self.starvation_peek() {
-            match q.try_fast_dequeue(self.max_fast_failures, &mut self.cache, guard) {
+            let tid = self.id.id();
+            match q.try_fast_dequeue(self.max_fast_failures, &mut self.cache, tid, guard) {
                 FastDeq::Done(result) => {
                     self.fast_streak += 1;
-                    self.local_stats.fast_completions += 1;
-                    Stats::bump(&q.stats.fast_completions);
-                    Stats::bump(&q.stats.dequeues);
+                    self.cells.fast_completions.bump();
+                    self.cells.dequeues.bump();
                     return result;
                 }
                 FastDeq::Exhausted => {
                     self.fast_streak = 0;
-                    self.local_stats.fast_exhaustions += 1;
-                    Stats::bump(&q.stats.fast_exhaustions);
+                    self.cells.fast_exhaustions.bump();
                     inject!("kp.fast.demote");
                 }
             }
         } else {
-            self.local_stats.fast_starvation_demotions += 1;
-            Stats::bump(&q.stats.fast_starvation_demotions);
+            self.cells.fast_starvation_demotions.bump();
         }
         self.slow_dequeue(guard)
     }
@@ -483,8 +484,8 @@ impl<'q, T: Send> WfHandle<'q, T> {
     fn slow_dequeue(&mut self, guard: &Guard) -> Option<T> {
         let q = self.queue;
         let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L99
+        self.cells.slow_ops.bump();
+        let phase = q.next_phase(tid); // L99
         inject!("kp.publish");
         // L100: publish the operation descriptor (node = null).
         q.state[tid].publish(phase, 0, false);
@@ -492,8 +493,8 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // leaves a dequeue whose value must still be taken-and-dropped.
         self.deq_in_flight = true;
         self.run_help(phase, false, guard); // L101
-        q.help_finish_deq(guard, &mut self.cache); // L102
-        Stats::bump(&q.stats.dequeues);
+        q.help_finish_deq(guard, &mut self.cache, tid); // L102
+        self.cells.dequeues.bump();
         // L103–107: read the result through our completed descriptor.
         let result = Self::read_deq_result(q, tid, guard);
         self.deq_in_flight = false;
@@ -513,7 +514,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         debug_assert!(!w.pending(), "operation must be complete");
         debug_assert!(!w.enqueue(), "descriptor must be ours (dequeue)");
         if w.node_is_null() {
-            Stats::bump(&q.stats.empty_dequeues);
+            q.stats[tid].empty_dequeues.bump();
             return None; // L104–105: linearized on an empty queue
         }
         let node = w.node_ptr::<Node<T>>();
@@ -600,7 +601,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 };
                 if self.reap.frozen(obs, patience) {
                     if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
-                        Stats::bump(&q.stats.reap_takeovers);
+                        self.cells.reap_takeovers.bump();
                         q.reap_slot(v, next_generation, tid, guard, &mut self.cache);
                     }
                     self.reap.advance(n);
@@ -641,7 +642,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 q.help_enq(tid, phase, tid, guard);
             } else {
                 q.help_deq(tid, phase, tid, guard, &mut self.cache);
-                q.help_finish_deq(guard, &mut self.cache);
+                q.help_finish_deq(guard, &mut self.cache, tid);
                 // The caller will never see the result; claim and
                 // discard it so conservation stays exact.
                 drop(Self::read_deq_result(q, tid, guard));
@@ -656,7 +657,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // or anyone's) starts from a quiescent queue, and an enqueue
         // that died between steps 2 and 3 gets its tail swing now.
         q.help_finish_enq(guard);
-        q.help_finish_deq(guard, &mut self.cache);
+        q.help_finish_deq(guard, &mut self.cache, tid);
         self.fast_streak = 0;
     }
 
@@ -670,7 +671,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         let q = self.queue;
         let tid = self.id.id();
         let guard = epoch::pin();
-        let phase = q.next_phase();
+        let phase = q.next_phase(tid);
         let node = self.alloc_node(value, tid);
         q.state[tid].publish(phase, node as usize, true);
         PendingOp {
@@ -690,7 +691,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         let q = self.queue;
         let tid = self.id.id();
         let guard = epoch::pin();
-        let phase = q.next_phase();
+        let phase = q.next_phase(tid);
         q.state[tid].publish(phase, 0, false);
         PendingOp {
             handle: self,
@@ -814,7 +815,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         self.op_prologue();
         let guard = epoch::pin();
         let node = self.alloc_node(value, FAST_ENQUEUER);
-        q.append_no_swing(node, &guard);
+        q.append_no_swing(node, self.id.id(), &guard);
     }
 }
 
@@ -836,7 +837,7 @@ impl<T: Send> QueueHandle<T> for WfHandle<'_, T> {
     }
 
     fn fast_path_stats(&self) -> Option<FastPathStats> {
-        Some(self.local_stats)
+        Some(WfHandle::fast_path_stats(self))
     }
 }
 
@@ -874,7 +875,7 @@ impl<T: Send> Drop for WfHandle<'_, T> {
             // or `epoch_tokens[tid]` now would corrupt *their* state.
             // `IdGuard::drop`'s release CAS fails silently on the stale
             // generation. Only our private cache is still ours to free.
-            self.cache.drain(&guard);
+            self.cache.drain(&guard, &q.pool);
             return;
         }
         let (w, phase) = q.state[tid].view(kp_sync::atomic::Ordering::SeqCst);
@@ -884,7 +885,7 @@ impl<T: Send> Drop for WfHandle<'_, T> {
                 q.help_finish_enq(&guard);
             } else {
                 q.help_deq(tid, phase, tid, &guard, &mut self.cache);
-                q.help_finish_deq(&guard, &mut self.cache);
+                q.help_finish_deq(&guard, &mut self.cache, tid);
                 // Nobody will ever read this dequeue's result; take the
                 // value out of the node so conservation stays exact (it
                 // counts as consumed-by-the-departed-thread).
@@ -900,14 +901,14 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         // needs no such gate (the L150 CAS is unconditional), but we
         // drive it too so the slot is handed over fully quiescent.
         q.help_finish_enq(&guard);
-        q.help_finish_deq(&guard, &mut self.cache);
+        q.help_finish_deq(&guard, &mut self.cache, tid);
         // Fresh idle descriptor (version-bumped in place): the slot's
         // next owner starts from the same state a brand-new slot has,
         // and stale helper CASes against our old words keep failing.
         q.state[tid].reset();
-        // Reuse ends with the handle: give the cached nodes back to the
-        // epoch collector.
-        self.cache.drain(&guard);
+        // Reuse ends with the handle: mature nodes go back to the shared
+        // pool, the rest to the epoch collector.
+        self.cache.drain(&guard, &q.pool);
         // Retract the published epoch token only after unpinning, and
         // before the ID can be recycled: while we were pinned above, a
         // reaper quarantining another abandoned slot with the same
@@ -960,12 +961,12 @@ impl<T: Send> PendingOp<'_, '_, T> {
         if self.enqueue {
             q.help_enq(tid, self.phase, tid, &self.guard);
             q.help_finish_enq(&self.guard);
-            Stats::bump(&q.stats.enqueues);
+            self.handle.cells.enqueues.bump();
             None
         } else {
             q.help_deq(tid, self.phase, tid, &self.guard, &mut self.handle.cache);
-            q.help_finish_deq(&self.guard, &mut self.handle.cache);
-            Stats::bump(&q.stats.dequeues);
+            q.help_finish_deq(&self.guard, &mut self.handle.cache, tid);
+            self.handle.cells.dequeues.bump();
             WfHandle::read_deq_result(q, tid, &self.guard)
         }
     }

@@ -17,6 +17,7 @@ use crate::hp::queue::WfQueueHp;
 use crate::hp::types::{
     NodeHp, FAST_ENQUEUER, H_NEXT, H_NODE, NO_DEQUEUER, TOKEN_CONSUMED, TOKEN_RECLAIM_READY,
 };
+use crate::pool::PoolNode;
 use crate::queue::FastDeq;
 use crate::reap::{Observation, ReapScan};
 use crate::stats::Stats;
@@ -48,8 +49,8 @@ pub struct WfHpHandle<'q, T: Send> {
     participant: ManuallyDrop<Participant<'q>>,
     cursor: usize,
     rng: u64,
-    /// Private node cache (see `hp::pool`). Pre-sized so pushes never
-    /// allocate.
+    /// Private node cache, refilled from the queue's shared pool.
+    /// Pre-sized so pushes never allocate.
     local: Vec<*mut NodeHp<T>>,
     /// True from a dequeue's publish until its epilogue claimed the
     /// result. Lets `Drop` (after a panic unwound out of `dequeue`)
@@ -66,9 +67,11 @@ pub struct WfHpHandle<'q, T: Send> {
     /// Consecutive fast-path completions since the last starvation
     /// peek (see `Config::starvation_patience`).
     fast_streak: usize,
-    /// Plain (non-atomic, handle-local) fast/slow counters — always
-    /// collected, unlike the feature-gated shared `Stats`.
-    local_stats: FastPathStats,
+    /// This tid's counter block in the queue (`crate::stats`).
+    cells: &'q Stats,
+    /// The block's fast/slow counters at registration — see
+    /// `WfHandle::fast_base`.
+    fast_base: FastPathStats,
     /// Panic-recovery tracker for a still-private fast-path node — the
     /// HP twin of `WfHandle::inflight`; nulled the instant the node is
     /// published.
@@ -86,6 +89,7 @@ unsafe impl<T: Send> Send for WfHpHandle<'_, T> {}
 impl<'q, T: Send> WfHpHandle<'q, T> {
     pub(crate) fn new(queue: &'q WfQueueHp<T>, id: IdGuard<'q>, participant: Participant<'q>) -> Self {
         let tid = id.id();
+        let cells = &queue.stats[tid];
         WfHpHandle {
             queue,
             id,
@@ -96,7 +100,8 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
             deq_in_flight: false,
             max_fast_failures: queue.config().max_fast_failures,
             fast_streak: 0,
-            local_stats: FastPathStats::default(),
+            cells,
+            fast_base: cells.fast_path_since(&FastPathStats::default()),
             inflight: ptr::null_mut(),
             reap: ReapScan::new(
                 (tid + 1) % queue.max_threads(),
@@ -113,10 +118,10 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
         self.max_fast_failures = max_fast_failures;
     }
 
-    /// This handle's fast/slow execution counters (always collected,
-    /// independent of the `stats` cargo feature).
+    /// This handle's fast/slow execution counters, read from the same
+    /// per-tid cells that [`WfQueueHp::stats`] sums.
     pub fn fast_path_stats(&self) -> FastPathStats {
-        self.local_stats
+        self.cells.fast_path_since(&self.fast_base)
     }
 
     /// This handle's virtual thread ID.
@@ -152,14 +157,14 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
             None => match self.steal_batch() {
                 Some(n) => n,
                 None => {
-                    Stats::bump(&self.queue.stats.node_allocs);
+                    self.cells.node_allocs.bump();
                     return NodeHp::boxed(Some(value), tid);
                 }
             },
         };
-        Stats::bump(&self.queue.stats.node_reuses);
+        self.cells.node_reuses.bump();
         // SAFETY: pooled nodes are exclusively owned (both disposal
-        // tokens were observed before release — see `hp::pool`). The
+        // tokens were observed before release — see `hp::types`). The
         // SeqCst publish that follows in the caller releases these
         // plain/Relaxed writes to any helper reading the node through
         // the descriptor word.
@@ -181,10 +186,10 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
             return None;
         }
         // SAFETY: a stolen list is exclusively ours (see `NodePool`).
-        let mut cur = unsafe { (*first).free_next.load(Ordering::Relaxed) };
+        let mut cur = unsafe { (*first).free_next() };
         while !cur.is_null() {
             // SAFETY: as above.
-            let nxt = unsafe { (*cur).free_next.load(Ordering::Relaxed) };
+            let nxt = unsafe { (*cur).free_next() };
             if self.local.len() < LOCAL_CAP {
                 self.local.push(cur);
             } else {
@@ -337,31 +342,28 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
             self.inflight = node;
             let budget = self.max_fast_failures;
             let (participant, inflight) = (&mut self.participant, &mut self.inflight);
-            if q.try_fast_enqueue(participant, node, budget, inflight) {
+            if q.try_fast_enqueue(participant, node, budget, inflight, tid) {
                 self.fast_streak += 1;
-                self.local_stats.fast_completions += 1;
-                Stats::bump(&q.stats.fast_completions);
-                Stats::bump(&q.stats.enqueues);
+                self.cells.fast_completions.bump();
+                self.cells.enqueues.bump();
                 return;
             }
             // Exhausted: every append CAS failed, so the node was
             // never published — still exclusively ours. Rebrand it
             // with our real tid and fall back to the slow path.
             self.fast_streak = 0;
-            self.local_stats.fast_exhaustions += 1;
-            Stats::bump(&q.stats.fast_exhaustions);
+            self.cells.fast_exhaustions.bump();
             // SAFETY: exclusive ownership (see above); helpers only
             // read `enq_tid` after the descriptor publish below,
             // whose SeqCst store releases this write.
             unsafe { (*node).enq_tid = tid };
             inject!("kp_hp.fast.demote");
-            self.local_stats.slow_ops += 1;
-            let phase = q.next_phase(); // L62
+            self.cells.slow_ops.bump();
+            let phase = q.next_phase(tid); // L62
             self.slow_enqueue_publish(phase, node);
             return;
         }
-        self.local_stats.fast_starvation_demotions += 1;
-        Stats::bump(&q.stats.fast_starvation_demotions);
+        self.cells.fast_starvation_demotions.bump();
         // Demote to the slow path, which helps the starved peer (its
         // slot is at our help cursor).
         self.slow_enqueue(value);
@@ -371,8 +373,8 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
     fn slow_enqueue(&mut self, value: T) {
         let q = self.queue;
         let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L62
+        self.cells.slow_ops.bump();
+        let phase = q.next_phase(tid); // L62
         // Before the node is prepared, so a simulated crash here leaks
         // nothing (the value is dropped by the unwind).
         inject!("kp_hp.publish");
@@ -394,7 +396,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
         self.inflight = ptr::null_mut();
         self.run_help(phase, true); // L64
         q.help_finish_enq(&mut self.participant); // L65
-        Stats::bump(&q.stats.enqueues);
+        self.cells.enqueues.bump();
     }
 
     /// `deq()`, L98–108, preceded by the bounded fast path when enabled
@@ -436,24 +438,21 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
         let q = self.queue;
         if !self.starvation_peek() {
             let budget = self.max_fast_failures;
-            match q.try_fast_dequeue(&mut self.participant, budget) {
+            match q.try_fast_dequeue(&mut self.participant, budget, self.id.id()) {
                 FastDeq::Done(result) => {
                     self.fast_streak += 1;
-                    self.local_stats.fast_completions += 1;
-                    Stats::bump(&q.stats.fast_completions);
-                    Stats::bump(&q.stats.dequeues);
+                    self.cells.fast_completions.bump();
+                    self.cells.dequeues.bump();
                     return result;
                 }
                 FastDeq::Exhausted => {
                     self.fast_streak = 0;
-                    self.local_stats.fast_exhaustions += 1;
-                    Stats::bump(&q.stats.fast_exhaustions);
+                    self.cells.fast_exhaustions.bump();
                     inject!("kp_hp.fast.demote");
                 }
             }
         } else {
-            self.local_stats.fast_starvation_demotions += 1;
-            Stats::bump(&q.stats.fast_starvation_demotions);
+            self.cells.fast_starvation_demotions.bump();
         }
         self.slow_dequeue()
     }
@@ -462,15 +461,15 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
     fn slow_dequeue(&mut self) -> Option<T> {
         let q = self.queue;
         let tid = self.id.id();
-        self.local_stats.slow_ops += 1;
-        let phase = q.next_phase(); // L99
+        self.cells.slow_ops.bump();
+        let phase = q.next_phase(tid); // L99
         inject!("kp_hp.publish");
         // L100: publish the operation descriptor (node = null).
         q.state[tid].publish(phase, 0, false);
         self.deq_in_flight = true;
         self.run_help(phase, false); // L101
         q.help_finish_deq(&mut self.participant); // L102
-        Stats::bump(&q.stats.dequeues);
+        self.cells.dequeues.bump();
         // L103–107: read the result through our completed word.
         let result = Self::read_deq_result(q, tid);
         self.deq_in_flight = false;
@@ -489,7 +488,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
         debug_assert!(!w.pending(), "own op must be complete");
         debug_assert!(!w.enqueue(), "descriptor must be our dequeue");
         if w.node_is_null() {
-            Stats::bump(&q.stats.empty_dequeues);
+            q.stats[tid].empty_dequeues.bump();
             return None; // L104–105: linearized on an empty queue
         }
         let node = w.node_ptr::<NodeHp<T>>();
@@ -507,7 +506,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
             let prev = (*node).tokens.fetch_or(TOKEN_CONSUMED, Ordering::AcqRel);
             if prev & TOKEN_RECLAIM_READY != 0 {
                 // The hazard scan already cleared the node; disposal is
-                // ours (see `hp::pool::reclaim_into_pool`).
+                // ours (see `hp::types::reclaim_into_pool`).
                 q.pool().release(node);
             }
             // Checked in release builds on purpose: a reap-path
@@ -563,7 +562,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
                 };
                 if self.reap.frozen(obs, patience) {
                     if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
-                        Stats::bump(&q.stats.reap_takeovers);
+                        self.cells.reap_takeovers.bump();
                         q.reap_slot(&mut self.participant, v, next_generation, tid);
                     }
                     self.reap.advance(n);
@@ -622,7 +621,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
     pub fn begin_enqueue_unhelped(&mut self, value: T) -> PendingOpHp<'_, 'q, T> {
         let q = self.queue;
         let tid = self.id.id();
-        let phase = q.next_phase();
+        let phase = q.next_phase(tid);
         let node = self.alloc_node(value, tid);
         q.state[tid].publish(phase, node as usize, true);
         PendingOpHp {
@@ -640,7 +639,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
     pub fn begin_dequeue_unhelped(&mut self) -> PendingOpHp<'_, 'q, T> {
         let q = self.queue;
         let tid = self.id.id();
-        let phase = q.next_phase();
+        let phase = q.next_phase(tid);
         q.state[tid].publish(phase, 0, false);
         PendingOpHp {
             handle: self,
@@ -663,7 +662,7 @@ impl<'q, T: Send> WfHpHandle<'q, T> {
         let q = self.queue;
         self.op_prologue();
         let node = self.alloc_node(value, FAST_ENQUEUER);
-        q.append_no_swing(&mut self.participant, node);
+        q.append_no_swing(&mut self.participant, node, self.id.id());
     }
 }
 
@@ -702,12 +701,12 @@ impl<T: Send> PendingOpHp<'_, '_, T> {
         if self.enqueue {
             q.help_enq(&mut self.handle.participant, tid, self.phase, tid);
             q.help_finish_enq(&mut self.handle.participant);
-            Stats::bump(&q.stats.enqueues);
+            self.handle.cells.enqueues.bump();
             None
         } else {
             q.help_deq(&mut self.handle.participant, tid, self.phase, tid);
             q.help_finish_deq(&mut self.handle.participant);
-            Stats::bump(&q.stats.dequeues);
+            self.handle.cells.dequeues.bump();
             WfHpHandle::read_deq_result(q, tid)
         }
     }
@@ -810,6 +809,6 @@ impl<T: Send> QueueHandle<T> for WfHpHandle<'_, T> {
     }
 
     fn fast_path_stats(&self) -> Option<FastPathStats> {
-        Some(self.local_stats)
+        Some(WfHpHandle::fast_path_stats(self))
     }
 }

@@ -49,16 +49,16 @@
 //!
 //! ## Node reuse
 //!
-//! Disposal feeds `hp::pool`: a shared steal-all freelist plus a
-//! per-handle cache, making steady-state HP operations allocation-free
-//! just like the epoch variant's `RetireCache`. With
+//! Disposal feeds the queue's `NodePool` (`crate::pool`): a shared
+//! steal-all freelist, refilling a per-handle cache, making steady-state
+//! HP operations allocation-free just like the epoch variant's
+//! `RetireCache`. With
 //! `Config::reuse_nodes` off, disposal falls through to the allocator —
 //! the ablation baseline.
 
 mod handle;
-mod pool;
 mod queue;
-mod types;
+pub(crate) mod types;
 
 pub use handle::{PendingOpHp, WfHpHandle};
 pub use queue::WfQueueHp;

@@ -15,7 +15,7 @@
 //!    (the new sentinel) rather than couriering the value through a
 //!    descriptor (§3.4's copy). The owner's epilogue dereferences that
 //!    node hazard-free, protected by the two-token disposal gate on the
-//!    node (`hp::pool`): the node cannot be freed or recycled before
+//!    node (`hp::types`): the node cannot be freed or recycled before
 //!    the owner's `TOKEN_CONSUMED` fetch_or, which the owner itself
 //!    performs after taking the value.
 //!
@@ -33,13 +33,13 @@ use crate::chaos_hooks::inject;
 use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
 use crate::hp::handle::WfHpHandle;
-use crate::hp::pool::{reclaim_into_pool, NodePool};
 use crate::hp::types::{
-    NodeHp, FAST_DEQUEUER, FAST_ENQUEUER, H_NEXT, H_NODE, H_SLOTS, NO_DEQUEUER, TOKEN_CONSUMED,
-    TOKEN_RECLAIM_READY,
+    reclaim_into_pool, NodeHp, FAST_DEQUEUER, FAST_ENQUEUER, H_NEXT, H_NODE, H_SLOTS, NO_DEQUEUER,
+    TOKEN_CONSUMED, TOKEN_RECLAIM_READY,
 };
+use crate::pool::NodePool;
 use crate::queue::FastDeq;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{StatsSnapshot, StatsTable};
 
 /// The Kogan–Petrank wait-free queue with hazard-pointer reclamation
 /// (paper §3.4): both the queue operations *and* memory management are
@@ -58,7 +58,7 @@ pub struct WfQueueHp<T> {
     /// valid if the queue value moves, and declared *after* `domain` so
     /// it drops later: `Domain::drop` reclaims leftover orphans, and
     /// those reclaims release into this pool.
-    pool: Box<NodePool<T>>,
+    pool: Box<NodePool<NodeHp<T>>>,
     pub(crate) ids: IdPool,
     /// `hazard::Participant::record_token` of each slot's current
     /// handle, written at registration, cleared by handle drop or by
@@ -66,7 +66,8 @@ pub struct WfQueueHp<T> {
     /// `WfQueue::epoch_tokens`. `0` = none.
     pub(crate) hp_tokens: Box<[CachePadded<AtomicUsize>]>,
     pub(crate) config: Config,
-    pub(crate) stats: Stats,
+    /// One counter block per virtual tid (`crate::stats`).
+    pub(crate) stats: StatsTable,
 }
 
 // SAFETY: same protocol as the epoch version — all cross-thread traffic
@@ -114,7 +115,7 @@ impl<T: Send> WfQueueHp<T> {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             config,
-            stats: Stats::default(),
+            stats: StatsTable::new(max_threads),
         }
     }
 
@@ -128,21 +129,17 @@ impl<T: Send> WfQueueHp<T> {
         self.state.len()
     }
 
-    /// A copy of the helping statistics. `cache_overflows` includes the
-    /// shared pool's over-cap frees (counted pool-side because reclaim
-    /// callbacks cannot reach the queue's feature-gated `Stats`).
+    /// A copy of the helping statistics, summed over every virtual tid.
+    /// `cache_overflows` is the shared pool's over-cap frees (counted
+    /// pool-side because reclaim callbacks belong to no tid).
     pub fn stats(&self) -> StatsSnapshot {
-        #[allow(unused_mut)]
         let mut snapshot = self.stats.snapshot();
-        #[cfg(feature = "stats")]
-        {
-            snapshot.cache_overflows += self.pool.overflows();
-        }
+        snapshot.cache_overflows += self.pool.overflows();
         snapshot
     }
 
     /// The queue's node freelist (dequeue epilogues release through it).
-    pub(crate) fn pool(&self) -> &NodePool<T> {
+    pub(crate) fn pool(&self) -> &NodePool<NodeHp<T>> {
         &self.pool
     }
 
@@ -169,8 +166,8 @@ impl<T: Send> WfQueueHp<T> {
 
     /// `maxPhase()`, L48–57. SeqCst: the Bakery-doorway argument, see
     /// the epoch version.
-    pub(crate) fn max_phase(&self) -> i64 {
-        Stats::bump(&self.stats.phase_scans);
+    pub(crate) fn max_phase(&self, tid: usize) -> i64 {
+        self.stats[tid].phase_scans.bump();
         let mut max = -1;
         for slot in self.state.iter() {
             max = max.max(slot.load_phase(Ordering::SeqCst));
@@ -178,10 +175,11 @@ impl<T: Send> WfQueueHp<T> {
         max
     }
 
-    /// Phase selection (L62/L99 or the §3.3 counter).
-    pub(crate) fn next_phase(&self) -> i64 {
+    /// Phase selection for thread `tid`'s operation (L62/L99 or the
+    /// §3.3 counter).
+    pub(crate) fn next_phase(&self, tid: usize) -> i64 {
         match self.config.phase {
-            PhasePolicy::MaxScan => self.max_phase() + 1,
+            PhasePolicy::MaxScan => self.max_phase(tid) + 1,
             PhasePolicy::AtomicCounter => self.phase_counter.fetch_add(1, Ordering::SeqCst) + 1,
         }
     }
@@ -198,7 +196,7 @@ impl<T: Send> WfQueueHp<T> {
         let (w, phase) = self.state[i].view(Ordering::SeqCst);
         if w.pending() && phase <= ph {
             if i != helper {
-                Stats::bump(&self.stats.help_calls);
+                self.stats[helper].help_calls.bump();
             }
             if w.enqueue() {
                 self.help_enq(p, i, ph, helper);
@@ -217,9 +215,9 @@ impl<T: Send> WfQueueHp<T> {
 
     /// Hands an unlinked sentinel to reclamation. The disposal runs
     /// through the node's token gate so the dequeue owner's hazard-free
-    /// epilogue dereference stays safe (see `hp::pool`).
+    /// epilogue dereference stays safe (see `hp::types`).
     fn retire_node(&self, p: &mut Participant<'_>, node: *mut NodeHp<T>) {
-        let ctx = (&*self.pool as *const NodePool<T> as *mut NodePool<T>).cast();
+        let ctx = (&*self.pool as *const NodePool<NodeHp<T>> as *mut NodePool<NodeHp<T>>).cast();
         // SAFETY: `node` was unlinked by the unique head-CAS winner and
         // is retired once; `ctx` outlives every reclaim (the pool Box
         // drops after the domain — field order above).
@@ -268,9 +266,10 @@ impl<T: Send> WfQueueHp<T> {
                     }
                     .is_ok();
                     if appended {
-                        Stats::bump(&self.stats.appends_total);
+                        let me = &self.stats[helper];
+                        me.appends_total.bump();
                         if helper != tid {
-                            Stats::bump(&self.stats.helped_appends);
+                            me.helped_appends.bump();
                         }
                         self.help_finish_enq(p); // L75
                         return;
@@ -393,9 +392,10 @@ impl<T: Send> WfQueueHp<T> {
                 }
                 .is_ok();
                 if locked {
-                    Stats::bump(&self.stats.locks_total);
+                    let me = &self.stats[helper];
+                    me.locks_total.bump();
                     if helper != tid {
-                        Stats::bump(&self.stats.helped_locks);
+                        me.helped_locks.bump();
                     }
                 }
                 // L136.
@@ -508,8 +508,9 @@ impl<T: Send> WfQueueHp<T> {
         inject!("kp_hp.reap.adopt");
         let (w0, phase0) = self.state[victim].view(Ordering::SeqCst);
         let was_pending = w0.pending();
+        let me = &self.stats[helper];
         if was_pending {
-            Stats::bump(&self.stats.reap_adoptions);
+            me.reap_adoptions.bump();
             if w0.enqueue() {
                 self.help_enq(p, victim, phase0, helper);
             } else {
@@ -561,13 +562,13 @@ impl<T: Send> WfQueueHp<T> {
                 // handle's Drop leaks its record instead of touching
                 // it, so no legitimate user of the record remains.
                 if unsafe { self.domain.quarantine(token) } {
-                    Stats::bump(&self.stats.quarantines);
+                    me.quarantines.bump();
                 }
             }
         }
         inject!("kp_hp.reap.finish");
         if self.ids.finish_reap(victim, generation) {
-            Stats::bump(&self.stats.reaps);
+            me.reaps.bump();
         }
     }
 
@@ -584,13 +585,15 @@ impl<T: Send> WfQueueHp<T> {
     /// `inflight` is the caller's panic-recovery tracker for `node`; it
     /// is cleared here, by the success CAS itself, so an unwind from
     /// the post-publication injection site cannot double-free a node
-    /// the queue now owns.
+    /// the queue now owns. `tid` is the caller's, whose counter block
+    /// the attempt writes.
     pub(crate) fn try_fast_enqueue(
         &self,
         p: &mut Participant<'_>,
         node: *mut NodeHp<T>,
         budget: usize,
         inflight: &mut *mut NodeHp<T>,
+        tid: usize,
     ) -> bool {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
@@ -621,7 +624,7 @@ impl<T: Send> WfQueueHp<T> {
                     // Linearized (the shared L74 append point); the
                     // node is public — stop tracking it for recovery.
                     *inflight = ptr::null_mut();
-                    Stats::bump(&self.stats.appends_total);
+                    self.stats[tid].appends_total.bump();
                     inject!("kp_hp.fast.swing_tail");
                     // Step 3, best effort; helpers' help_finish_enq
                     // (FAST_ENQUEUER branch) also swings.
@@ -649,7 +652,12 @@ impl<T: Send> WfQueueHp<T> {
     /// shared state a sudden death at `kp_hp.fast.swing_tail` leaves
     /// behind. The value is linearized; the lagging tail persists until
     /// someone's `help_finish_enq` fixes it.
-    pub(crate) fn append_no_swing(&self, p: &mut Participant<'_>, node: *mut NodeHp<T>) {
+    pub(crate) fn append_no_swing(
+        &self,
+        p: &mut Participant<'_>,
+        node: *mut NodeHp<T>,
+        tid: usize,
+    ) {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
@@ -672,7 +680,7 @@ impl<T: Send> WfQueueHp<T> {
                 }
                 .is_ok()
                 {
-                    Stats::bump(&self.stats.appends_total);
+                    self.stats[tid].appends_total.bump();
                     p.clear(H_NODE);
                     return;
                 }
@@ -688,7 +696,12 @@ impl<T: Send> WfQueueHp<T> {
     /// is taken under the H_NEXT hazard and the value node's token gate
     /// is half-completed here (`TOKEN_CONSUMED`), exactly as the slow
     /// path's owner epilogue would.
-    pub(crate) fn try_fast_dequeue(&self, p: &mut Participant<'_>, budget: usize) -> FastDeq<T> {
+    pub(crate) fn try_fast_dequeue(
+        &self,
+        p: &mut Participant<'_>,
+        budget: usize,
+        tid: usize,
+    ) -> FastDeq<T> {
         for _ in 0..budget {
             inject!("kp_hp.fast.deq");
             let first = p.protect(H_NODE, &*self.head);
@@ -708,7 +721,7 @@ impl<T: Send> WfQueueHp<T> {
                 if next.is_null() {
                     // Empty: linearizes at the `next` load above, head-
                     // validated (the L115–120 shape, no descriptor).
-                    Stats::bump(&self.stats.empty_dequeues);
+                    self.stats[tid].empty_dequeues.bump();
                     return FastDeq::Done(None);
                 }
                 // An enqueue is mid-flight; help it land (L122–123).
@@ -728,7 +741,7 @@ impl<T: Send> WfQueueHp<T> {
             if locked {
                 // Step 1 won: the dequeue is linearized and we are the
                 // unique taker of the successor's value.
-                Stats::bump(&self.stats.locks_total);
+                self.stats[tid].locks_total.bump();
                 // SAFETY: `next` is covered by H_NEXT, validated while
                 // `first` was still the head; the lock's uniqueness
                 // gives the value take exclusivity (a node's value is
@@ -806,42 +819,19 @@ impl<T: Send> ConcurrentQueue<T> for WfQueueHp<T> {
     }
 
     /// Same counter-derived gauge as the epoch engine (see
-    /// `WfQueue::depth_hint`): `None` with `stats` off so admission
-    /// control disables itself instead of trusting a fake zero.
+    /// `WfQueue::depth_hint`).
     fn depth_hint(&self) -> Option<usize> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.depth())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.depth())
     }
 
     fn drained_hint(&self) -> Option<u64> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.drained())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.drained())
     }
 
-    /// Retire-cache overflows plus the shared pool's over-cap frees —
-    /// the same composition as [`WfQueueHp::stats`]. Zero with `stats`
-    /// off.
+    /// The shared pool's over-cap frees (the HP engine has no retire
+    /// cache to overflow).
     fn pressure_hint(&self) -> u64 {
-        #[cfg(feature = "stats")]
-        {
-            self.stats.cache_overflows.load(Ordering::Relaxed) + self.pool.overflows()
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            0
-        }
+        self.pool.overflows()
     }
 }
 

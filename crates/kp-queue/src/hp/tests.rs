@@ -301,23 +301,47 @@ fn debug_format() {
     assert!(format!("{q:?}").contains("WfQueueHp"));
 }
 
-/// Overload gauges on the hazard-pointer engine: same counter-derived
-/// contract as the epoch engine.
-#[cfg(feature = "stats")]
+/// Overload gauges on the hazard-pointer engine: the same per-tid
+/// summing contract as the epoch engine's test of the same name.
 #[test]
 fn depth_hint_tracks_residency_at_quiescence() {
-    let q: WfQueueHp<u64> = WfQueueHp::new(2);
-    assert_eq!(q.depth_hint(), Some(0));
-    let mut h = q.register().unwrap();
-    for i in 0..8 {
-        h.enqueue(i);
+    fn assert_quiescent(q: &WfQueueHp<u64>, depth: usize, drained: u64) {
+        assert_eq!(q.depth_hint(), Some(depth));
+        assert_eq!(q.drained_hint(), Some(drained));
+        let s = q.stats();
+        assert_eq!(
+            s.appends_total, s.enqueues,
+            "Lemma 1: one append per enqueue"
+        );
+        assert_eq!(
+            s.locks_total,
+            s.dequeues - s.empty_dequeues,
+            "Lemma 2: one lock per value"
+        );
     }
-    assert_eq!(q.depth_hint(), Some(8));
-    for _ in 0..8 {
-        h.dequeue().unwrap();
+    for cfg in all_configs() {
+        let q: WfQueueHp<u64> = WfQueueHp::with_config(2, cfg);
+        assert_quiescent(&q, 0, 0);
+        assert_eq!(q.capacity_hint(), None, "unbounded engine");
+        let mut producer = q.register().unwrap();
+        let mut consumer = q.register().unwrap();
+        for i in 0..8 {
+            producer.enqueue(i);
+        }
+        assert_quiescent(&q, 8, 0);
+        for _ in 0..5 {
+            consumer.dequeue().unwrap();
+        }
+        assert_quiescent(&q, 3, 5);
+        drop(producer);
+        drop(consumer);
+        assert_quiescent(&q, 3, 5);
+        let mut consumer = q.register().unwrap();
+        let mut producer = q.register().unwrap();
+        producer.enqueue(8);
+        assert_quiescent(&q, 4, 5);
+        while consumer.dequeue().is_some() {}
+        assert_eq!(consumer.dequeue(), None);
+        assert_quiescent(&q, 0, 9);
     }
-    assert_eq!(h.dequeue(), None);
-    assert_eq!(q.depth_hint(), Some(0));
-    assert_eq!(q.drained_hint(), Some(8));
-    assert_eq!(q.capacity_hint(), None, "unbounded engine");
 }

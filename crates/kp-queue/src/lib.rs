@@ -59,8 +59,10 @@
 //!   swing enter a per-handle cache tagged with the retirement epoch
 //!   and are reused once `tag + 2 <= global_epoch()` — exactly the
 //!   maturity rule [crossbeam-epoch] applies before *freeing*, so
-//!   recycling is sound wherever freeing would have been. Overflow and
-//!   handle exit fall back to `defer_destroy`.
+//!   recycling is sound wherever freeing would have been. A half-full
+//!   cache spills its mature nodes into a capped pool shared by every
+//!   handle, which a handle with nothing mature of its own drains
+//!   before it allocates; nodes that fit neither go to `defer_destroy`.
 //!
 //! Epoch reclamation is lock-free rather than wait-free; the paper's
 //! fully wait-free answer (hazard pointers) backs the [`hp`] variant in
@@ -91,7 +93,7 @@
 //! | slot publish/reset/transition | SeqCst | doorway visibility + the SC chains above terminate at these stores |
 //! | `len_approx` / `is_empty` walks | Acquire | advisory diagnostics; only need initialised-node visibility |
 //! | owner's dequeue epilogue (L103–107) | Acquire | reads the thread's own completed slot; freshness follows from the SeqCst loop exit plus coherence |
-//! | stats counters | Relaxed | monotone counters, no synchronisation role |
+//! | stats counters | Relaxed | per-tid single-writer cells (load + store, no RMW), no synchronisation role |
 //!
 //! Each relaxation (and each forced non-relaxation) is documented at
 //! its site in `queue.rs`/`desc.rs` with the counterexample that pins
@@ -133,6 +135,7 @@ mod desc;
 mod handle;
 pub mod hp;
 mod node;
+mod pool;
 mod queue;
 mod reap;
 mod recycle;

@@ -1,9 +1,11 @@
 //! The linked-list node (paper Figure 1, `class Node`).
 
+use kp_sync::atomic::{AtomicIsize, Ordering};
 use std::cell::UnsafeCell;
-use kp_sync::atomic::AtomicIsize;
 
-use crossbeam_epoch::Atomic;
+use crossbeam_epoch::{self as epoch, Atomic, Shared};
+
+use crate::pool::PoolNode;
 
 /// `deqTid`'s "unlocked" value.
 pub(crate) const NO_DEQUEUER: isize = -1;
@@ -67,10 +69,28 @@ impl<T> Node<T> {
     }
 }
 
+// SAFETY: nodes are boxed at birth (`alloc_node`'s `Box::into_raw`;
+// the initial sentinel's `Owned` is a `Box` too). A node enters the
+// pool only once mature — no pinned thread can reach it any more, and
+// none can later, since it is unlinked — so its `next` link is free for
+// the pool and the node's stealer to use (`crate::recycle`).
+unsafe impl<T> PoolNode for Node<T> {
+    fn free_next(&self) -> *mut Self {
+        // SAFETY: the unprotected guard only names the load's lifetime;
+        // no pin is needed to keep a pooled node alive (see above).
+        let guard = unsafe { epoch::unprotected() };
+        self.next.load(Ordering::Relaxed, guard).as_raw() as *mut Self
+    }
+
+    fn set_free_next(&self, next: *mut Self) {
+        self.next
+            .store(Shared::from(next as *const Self), Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kp_sync::atomic::Ordering;
 
     #[test]
     fn fresh_node_is_unlocked() {

@@ -15,7 +15,7 @@
 //! Every descriptor "allocation" and "retirement" of the seed becomes a
 //! store or CAS on the slot — the steady-state hot path performs zero
 //! heap allocations (nodes are recycled separately, see
-//! `crate::recycle`).
+//! `crate::recycle` and `crate::pool`).
 //!
 //! # Memory-ordering audit
 //!
@@ -41,8 +41,9 @@ use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
 use crate::handle::WfHandle;
 use crate::node::{Node, FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
+use crate::pool::NodePool;
 use crate::recycle::RetireCache;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{StatsSnapshot, StatsTable};
 
 /// The Kogan–Petrank wait-free MPMC FIFO queue.
 ///
@@ -67,8 +68,12 @@ pub struct WfQueue<T> {
     /// otherwise. A reap uses it to quarantine a dead owner's wedged
     /// pin so the epoch can advance again (DESIGN.md §13).
     pub(crate) epoch_tokens: Box<[CachePadded<AtomicUsize>]>,
+    /// Mature retired nodes spilled by full retire caches, for any
+    /// handle's enqueues (`crate::recycle`).
+    pub(crate) pool: CachePadded<NodePool<Node<T>>>,
     pub(crate) config: Config,
-    pub(crate) stats: Stats,
+    /// One counter block per virtual tid (`crate::stats`).
+    pub(crate) stats: StatsTable,
 }
 
 // SAFETY: all cross-thread traffic goes through atomics. The only
@@ -120,8 +125,9 @@ impl<T: Send> WfQueue<T> {
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
+            pool: CachePadded::new(NodePool::new(config.reuse_nodes)),
             config,
-            stats: Stats::default(),
+            stats: StatsTable::new(max_threads),
         };
         // SAFETY: the queue is not yet shared.
         let guard = unsafe { epoch::unprotected() };
@@ -142,9 +148,13 @@ impl<T: Send> WfQueue<T> {
         self.state.len()
     }
 
-    /// A copy of the queue's helping statistics.
+    /// A copy of the queue's helping statistics, summed over every
+    /// virtual tid. `cache_overflows` includes the nodes the shared pool
+    /// refused.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        let mut snapshot = self.stats.snapshot();
+        snapshot.cache_overflows += self.pool.overflows();
+        snapshot
     }
 
     /// Approximate number of elements (O(n) walk; diagnostics only).
@@ -195,8 +205,8 @@ impl<T: Send> WfQueue<T> {
     /// to the scan, which the SC total order gives and Acquire would
     /// not (an Acquire load may return any value not older than the
     /// last one *this* thread saw).
-    pub(crate) fn max_phase(&self) -> i64 {
-        Stats::bump(&self.stats.phase_scans);
+    pub(crate) fn max_phase(&self, tid: usize) -> i64 {
+        self.stats[tid].phase_scans.bump();
         let mut max = -1;
         for slot in self.state.iter() {
             max = max.max(slot.load_phase(Ordering::SeqCst));
@@ -204,11 +214,11 @@ impl<T: Send> WfQueue<T> {
         max
     }
 
-    /// Phase selection: `maxPhase() + 1` (L62/L99) or the §3.3 atomic
-    /// counter.
-    pub(crate) fn next_phase(&self) -> i64 {
+    /// Phase selection for thread `tid`'s operation: `maxPhase() + 1`
+    /// (L62/L99) or the §3.3 atomic counter.
+    pub(crate) fn next_phase(&self, tid: usize) -> i64 {
         match self.config.phase {
-            PhasePolicy::MaxScan => self.max_phase() + 1,
+            PhasePolicy::MaxScan => self.max_phase(tid) + 1,
             PhasePolicy::AtomicCounter => self.phase_counter.fetch_add(1, Ordering::SeqCst) + 1,
         }
     }
@@ -256,7 +266,7 @@ impl<T: Send> WfQueue<T> {
         let (w, phase) = self.state[i].view(Ordering::SeqCst);
         if w.pending() && phase <= ph {
             if i != helper {
-                Stats::bump(&self.stats.help_calls);
+                self.stats[helper].help_calls.bump();
             }
             if w.enqueue() {
                 self.help_enq(i, ph, helper, guard);
@@ -316,9 +326,10 @@ impl<T: Send> WfQueue<T> {
                             .is_ok()
                         {
                             // L74 succeeded: the operation is linearized.
-                            Stats::bump(&self.stats.appends_total);
+                            let me = &self.stats[helper];
+                            me.appends_total.bump();
                             if helper != tid {
-                                Stats::bump(&self.stats.helped_appends);
+                                me.helped_appends.bump();
                             }
                             self.help_finish_enq(guard); // L75
                             return;
@@ -491,20 +502,27 @@ impl<T: Send> WfQueue<T> {
                     )
                     .is_ok();
                 if locked {
-                    Stats::bump(&self.stats.locks_total);
+                    let me = &self.stats[helper];
+                    me.locks_total.bump();
                     if helper != tid {
-                        Stats::bump(&self.stats.helped_locks);
+                        me.helped_locks.bump();
                     }
                 }
                 // L136: complete whichever dequeue locked the sentinel.
-                self.help_finish_deq(guard, cache);
+                self.help_finish_deq(guard, cache, helper);
             }
         }
     }
 
     /// `help_finish_deq()`, L141–153: steps 2 and 3 — clear the locking
-    /// owner's `pending` flag, then swing `head` past the sentinel.
-    pub(crate) fn help_finish_deq(&self, guard: &Guard, cache: &mut RetireCache<T>) {
+    /// owner's `pending` flag, then swing `head` past the sentinel. A
+    /// winning head swing retires the sentinel into `helper`'s cache.
+    pub(crate) fn help_finish_deq(
+        &self,
+        guard: &Guard,
+        cache: &mut RetireCache<T>,
+        helper: usize,
+    ) {
         let first = self.head.load(Ordering::SeqCst, guard); // L142
         // SAFETY: as in `help_deq`.
         let first_ref = unsafe { first.deref() };
@@ -525,9 +543,7 @@ impl<T: Send> WfQueue<T> {
             {
                 // SAFETY: `first` is now unreachable from the queue and
                 // retired exactly once (by the unique CAS winner).
-                if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
-                    Stats::bump(&self.stats.cache_overflows);
-                }
+                unsafe { self.retire(first, guard, cache, helper) };
             }
             return;
         }
@@ -562,11 +578,29 @@ impl<T: Send> WfQueue<T> {
                 {
                     // SAFETY: `first` is now unreachable from the queue
                     // and retired exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
-                        Stats::bump(&self.stats.cache_overflows);
-                    }
+                    unsafe { self.retire(first, guard, cache, helper) };
                 }
             }
+        }
+    }
+
+    /// Hands a sentinel unlinked by `helper`'s winning head swing to
+    /// its retire cache, counting an overflow against `helper`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RetireCache::push`]: `node` is unlinked and retired
+    /// exactly once.
+    unsafe fn retire(
+        &self,
+        node: Shared<'_, Node<T>>,
+        guard: &Guard,
+        cache: &mut RetireCache<T>,
+        helper: usize,
+    ) {
+        // SAFETY: forwarded from the caller.
+        if unsafe { cache.push(node.as_raw() as *mut Node<T>, guard, &self.pool) } {
+            self.stats[helper].cache_overflows.bump();
         }
     }
 
@@ -603,8 +637,9 @@ impl<T: Send> WfQueue<T> {
         inject!("kp.reap.adopt");
         let (w0, phase0) = self.state[victim].view(Ordering::SeqCst);
         let was_pending = w0.pending();
+        let me = &self.stats[helper];
         if was_pending {
-            Stats::bump(&self.stats.reap_adoptions);
+            me.reap_adoptions.bump();
             if w0.enqueue() {
                 self.help_enq(victim, phase0, helper, guard);
             } else {
@@ -615,7 +650,7 @@ impl<T: Send> WfQueue<T> {
         // descriptor references before the descriptor may be blanked
         // (same argument as `WfHandle::drop`). Head driven for symmetry.
         self.help_finish_enq(guard);
-        self.help_finish_deq(guard, cache);
+        self.help_finish_deq(guard, cache, helper);
         inject!("kp.reap.retire");
         let w1 = self.state[victim].load_ctrl(Ordering::SeqCst);
         if w1.pending() {
@@ -705,13 +740,13 @@ impl<T: Send> WfQueue<T> {
                 // contract) thread is the documented lease-contract
                 // violation (DESIGN.md §13).
                 if unsafe { epoch::quarantine_participant(token) } {
-                    Stats::bump(&self.stats.quarantines);
+                    me.quarantines.bump();
                 }
             }
         }
         inject!("kp.reap.finish");
         if self.ids.finish_reap(victim, generation) {
-            Stats::bump(&self.stats.reaps);
+            me.reaps.bump();
         }
     }
 
@@ -734,12 +769,14 @@ impl<T: Send> WfQueue<T> {
     /// `inflight` is the caller's panic-recovery tracker for the
     /// private node: it is cleared the instant the append CAS publishes
     /// the node, so an unwind landing after publication (e.g. at the
-    /// `fast.swing_tail` chaos site) cannot double-free it.
+    /// `fast.swing_tail` chaos site) cannot double-free it. `tid` is
+    /// the caller's, whose counter block the attempt writes.
     pub(crate) fn try_fast_enqueue(
         &self,
         node: *mut Node<T>,
         budget: usize,
         inflight: &mut *mut Node<T>,
+        tid: usize,
         guard: &Guard,
     ) -> bool {
         // SAFETY: the caller owns `node` exclusively until the append
@@ -771,7 +808,7 @@ impl<T: Send> WfQueue<T> {
                     // Linearized (the shared L74 append point); the
                     // node is public now — recovery must not free it.
                     *inflight = std::ptr::null_mut();
-                    Stats::bump(&self.stats.appends_total);
+                    self.stats[tid].appends_total.bump();
                     inject!("kp.fast.swing_tail");
                     // Step 3, best effort: any helper's
                     // help_finish_enq (FAST_ENQUEUER branch) also
@@ -804,7 +841,7 @@ impl<T: Send> WfQueue<T> {
     /// its unwind recovery (sudden death). The value *is* linearized
     /// (the append CAS is the linearization point). Loops until the
     /// append lands so the resulting wedge is deterministic.
-    pub(crate) fn append_no_swing(&self, node: *mut Node<T>, guard: &Guard) {
+    pub(crate) fn append_no_swing(&self, node: *mut Node<T>, tid: usize, guard: &Guard) {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
@@ -830,7 +867,7 @@ impl<T: Send> WfQueue<T> {
                     )
                     .is_ok()
                 {
-                    Stats::bump(&self.stats.appends_total);
+                    self.stats[tid].appends_total.bump();
                     return;
                 }
             } else {
@@ -852,6 +889,7 @@ impl<T: Send> WfQueue<T> {
         &self,
         budget: usize,
         cache: &mut RetireCache<T>,
+        tid: usize,
         guard: &Guard,
     ) -> FastDeq<T> {
         for _ in 0..budget {
@@ -869,7 +907,7 @@ impl<T: Send> WfQueue<T> {
                 if next.is_null() {
                     // Empty: linearizes at the `next` load above (the
                     // L115–120 shape without a descriptor record).
-                    Stats::bump(&self.stats.empty_dequeues);
+                    self.stats[tid].empty_dequeues.bump();
                     return FastDeq::Done(None);
                 }
                 // An enqueue is mid-flight; help it land first
@@ -888,7 +926,7 @@ impl<T: Send> WfQueue<T> {
                 .is_ok()
             {
                 // Step 1 won: the dequeue is linearized.
-                Stats::bump(&self.stats.locks_total);
+                self.stats[tid].locks_total.bump();
                 // SAFETY: a locked sentinel's `next` is immutable and
                 // kept live by our pin; the lock made us the unique
                 // taker of its successor's value (a node's value is
@@ -915,15 +953,13 @@ impl<T: Send> WfQueue<T> {
                 {
                     // SAFETY: `first` is now unreachable and retired
                     // exactly once (by the unique CAS winner).
-                    if unsafe { cache.push(first.as_raw() as *mut Node<T>, guard) } {
-                        Stats::bump(&self.stats.cache_overflows);
-                    }
+                    unsafe { self.retire(first, guard, cache, tid) };
                 }
                 return FastDeq::Done(Some(value));
             }
             // Lost the lock to a concurrent dequeue (fast or slow):
             // complete it so head advances, then retry.
-            self.help_finish_deq(guard, cache);
+            self.help_finish_deq(guard, cache, tid);
         }
         FastDeq::Exhausted
     }
@@ -957,43 +993,21 @@ impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
         self.max_threads()
     }
 
-    /// Derived from the `stats` operation counters (three relaxed
-    /// loads), so it costs nothing the counters don't already. `None`
-    /// with the feature off — overload layers then disable depth-based
-    /// admission rather than trusting a fake zero.
+    /// Derived from the per-tid operation counters: enqueues minus
+    /// values dequeued, summed over the counter blocks.
     fn depth_hint(&self) -> Option<usize> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.depth())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.depth())
     }
 
     fn drained_hint(&self) -> Option<u64> {
-        #[cfg(feature = "stats")]
-        {
-            Some(self.stats.drained())
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            None
-        }
+        Some(self.stats.drained())
     }
 
-    /// The PR-6 memory-pressure signal: retire-cache overflows pushed
-    /// to the shared epoch collector. Zero with `stats` off.
+    /// The memory-pressure signal: retired nodes that left recycling —
+    /// refused by the full shared pool, or pushed out of a full retire
+    /// cache whose front had not matured.
     fn pressure_hint(&self) -> u64 {
-        #[cfg(feature = "stats")]
-        {
-            self.stats.cache_overflows.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "stats"))]
-        {
-            0
-        }
+        self.stats.overflows() + self.pool.overflows()
     }
 }
 

@@ -1,33 +1,56 @@
-//! Lightweight operation counters.
+//! Operation counters: one block of single-writer cells per virtual
+//! thread ID.
 //!
 //! The paper's §4 argues that the wait-free queue's cost comes from
 //! state-array bookkeeping and helping; these counters let the harness
 //! and the test suite observe that machinery directly (e.g. "under
 //! contention, a nonzero fraction of operations is completed by
-//! helpers"). All increments are relaxed — the numbers are statistics,
-//! not synchronization.
+//! helpers"), and they feed the overload layer's depth, drain and
+//! memory-pressure gauges.
 //!
-//! Even relaxed, the shared `help_calls`/`appends_total` bumps are RMWs
-//! on contended cache lines and perturb the very benchmarks that
-//! measure helping cost. The counters are therefore behind the `stats`
-//! cargo feature (on by default): with it off, each counter is a ZST,
-//! `bump` compiles away, and `snapshot` returns zeros — the API shape
-//! is unchanged so callers need no cfgs.
+//! Each queue keeps one cache-padded [`Stats`] block per virtual tid
+//! ([`StatsTable`]). Only the handle holding that tid writes the block —
+//! work it does on a peer's behalf (a helped append, a reap) is counted
+//! in the helper's own block — so a bump is a relaxed load plus a
+//! relaxed store: no read-modify-write, no lock prefix, and no cache
+//! line shared with another writer. Readers (`stats()`, `depth_hint`,
+//! `drained_hint`, `pressure_hint` and a handle's `fast_path_stats()`)
+//! sum relaxed loads over the blocks: stale by the operations in flight
+//! under load, exact at quiescence. A block outlives its handle; the
+//! tid's next holder keeps adding to the same cells, so handle churn
+//! loses no counts.
+//!
+//! The single writer is guaranteed by the lease contract (DESIGN.md
+//! §13). A handle that is reaped while still running violates it: it
+//! and the tid's successor then interleave load/store pairs on one
+//! block and can lose each other's increments. Every counter is
+//! advisory — admission control treats the gauges as hints, never as a
+//! bound — so such a violation costs accuracy, not safety.
 
-#[cfg(feature = "stats")]
+use std::ops::Index;
+
 use kp_sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(feature = "stats")]
 use kp_sync::CachePadded;
+use queue_traits::FastPathStats;
 
-/// One statistic cell: a padded atomic with the feature on, a ZST with
-/// it off.
-#[cfg(feature = "stats")]
-pub(crate) type Counter = CachePadded<AtomicU64>;
-#[cfg(not(feature = "stats"))]
+/// One statistic cell, written only by its block's owner.
 #[derive(Default)]
-pub(crate) struct Counter;
+pub(crate) struct Counter(AtomicU64);
 
+impl Counter {
+    /// Adds one. Owner-only (see the module docs), hence no RMW.
+    #[inline]
+    pub(crate) fn bump(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The counters of one virtual tid.
 #[derive(Default)]
 pub(crate) struct Stats {
     /// Completed enqueue operations (counted by the invoking thread).
@@ -56,7 +79,8 @@ pub(crate) struct Stats {
     /// Nodes taken from the heap because no recycled node was available
     /// (see `RetireCache` / `NodePool`). Zero in steady state.
     pub(crate) node_allocs: Counter,
-    /// Nodes served from a recycle cache instead of the heap.
+    /// Nodes served from a recycle cache or the shared pool instead of
+    /// the heap.
     pub(crate) node_reuses: Counter,
     /// Operations completed entirely on the descriptor-free fast path
     /// (enqueues whose append CAS won, dequeues whose `deqTid` lock won
@@ -68,6 +92,8 @@ pub(crate) struct Stats {
     /// Fast-path attempts demoted to the slow path because the periodic
     /// starvation peek observed a pending peer descriptor.
     pub(crate) fast_starvation_demotions: Counter,
+    /// Operations that ran the slow path (demoted ones included).
+    pub(crate) slow_ops: Counter,
     /// Abandoned-handle reaps completed (lease revoked, slot retired,
     /// participation quarantined). See DESIGN.md §13.
     pub(crate) reaps: Counter,
@@ -78,75 +104,106 @@ pub(crate) struct Stats {
     pub(crate) reap_takeovers: Counter,
     /// Epoch participants / hazard records force-quarantined by reaps.
     pub(crate) quarantines: Counter,
-    /// Memory-pressure backpressure: nodes pushed out of a full
-    /// `RetireCache` to the shared epoch collector, or released past a
-    /// full HP `NodePool` to the allocator. Growth beyond the caps is
-    /// degraded to reclamation work instead of unbounded caching.
+    /// Memory-pressure backpressure: retired nodes that left recycling
+    /// for the epoch collector because the `RetireCache` was full and
+    /// its front had not matured. Nodes the shared `NodePool` refuses
+    /// are counted pool-side (`NodePool::overflows`).
     pub(crate) cache_overflows: Counter,
 }
 
 impl Stats {
-    #[inline]
-    pub(crate) fn bump(_counter: &Counter) {
-        #[cfg(feature = "stats")]
-        _counter.fetch_add(1, Ordering::Relaxed);
+    /// Adds this block's counters into `s`.
+    fn add_to(&self, s: &mut StatsSnapshot) {
+        s.enqueues += self.enqueues.get();
+        s.dequeues += self.dequeues.get();
+        s.empty_dequeues += self.empty_dequeues.get();
+        s.appends_total += self.appends_total.get();
+        s.locks_total += self.locks_total.get();
+        s.helped_appends += self.helped_appends.get();
+        s.helped_locks += self.helped_locks.get();
+        s.phase_scans += self.phase_scans.get();
+        s.help_calls += self.help_calls.get();
+        s.node_allocs += self.node_allocs.get();
+        s.node_reuses += self.node_reuses.get();
+        s.fast_completions += self.fast_completions.get();
+        s.fast_exhaustions += self.fast_exhaustions.get();
+        s.fast_starvation_demotions += self.fast_starvation_demotions.get();
+        s.slow_ops += self.slow_ops.get();
+        s.reaps += self.reaps.get();
+        s.reap_adoptions += self.reap_adoptions.get();
+        s.reap_takeovers += self.reap_takeovers.get();
+        s.quarantines += self.quarantines.get();
+        s.cache_overflows += self.cache_overflows.get();
     }
 
-    #[cfg(feature = "stats")]
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            enqueues: self.enqueues.load(Ordering::Relaxed),
-            dequeues: self.dequeues.load(Ordering::Relaxed),
-            empty_dequeues: self.empty_dequeues.load(Ordering::Relaxed),
-            appends_total: self.appends_total.load(Ordering::Relaxed),
-            locks_total: self.locks_total.load(Ordering::Relaxed),
-            helped_appends: self.helped_appends.load(Ordering::Relaxed),
-            helped_locks: self.helped_locks.load(Ordering::Relaxed),
-            phase_scans: self.phase_scans.load(Ordering::Relaxed),
-            help_calls: self.help_calls.load(Ordering::Relaxed),
-            node_allocs: self.node_allocs.load(Ordering::Relaxed),
-            node_reuses: self.node_reuses.load(Ordering::Relaxed),
-            fast_completions: self.fast_completions.load(Ordering::Relaxed),
-            fast_exhaustions: self.fast_exhaustions.load(Ordering::Relaxed),
-            fast_starvation_demotions: self.fast_starvation_demotions.load(Ordering::Relaxed),
-            reaps: self.reaps.load(Ordering::Relaxed),
-            reap_adoptions: self.reap_adoptions.load(Ordering::Relaxed),
-            reap_takeovers: self.reap_takeovers.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
-            cache_overflows: self.cache_overflows.load(Ordering::Relaxed),
+    /// The fast/slow split accumulated in this block since `base` (a
+    /// reading taken when the current handle registered).
+    pub(crate) fn fast_path_since(&self, base: &FastPathStats) -> FastPathStats {
+        FastPathStats {
+            fast_completions: self.fast_completions.get() - base.fast_completions,
+            fast_exhaustions: self.fast_exhaustions.get() - base.fast_exhaustions,
+            fast_starvation_demotions: self.fast_starvation_demotions.get()
+                - base.fast_starvation_demotions,
+            slow_ops: self.slow_ops.get() - base.slow_ops,
         }
     }
+}
 
-    #[cfg(not(feature = "stats"))]
+/// A queue's counter blocks, one per virtual tid.
+pub(crate) struct StatsTable(Box<[CachePadded<Stats>]>);
+
+impl StatsTable {
+    pub(crate) fn new(max_threads: usize) -> Self {
+        StatsTable((0..max_threads).map(|_| CachePadded::default()).collect())
+    }
+
+    fn sum(&self, cell: impl Fn(&Stats) -> &Counter) -> u64 {
+        self.0.iter().map(|block| cell(block).get()).sum()
+    }
+
+    /// Every block summed.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+        let mut s = StatsSnapshot::default();
+        for block in self.0.iter() {
+            block.add_to(&mut s);
+        }
+        s
     }
 
     /// Monotonic count of values removed so far (empty dequeues carry
     /// no value, so they are subtracted out). The overload layer's
-    /// drain heartbeat — three relaxed loads, no full snapshot.
-    #[cfg(feature = "stats")]
+    /// drain heartbeat.
     pub(crate) fn drained(&self) -> u64 {
-        self.dequeues
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.empty_dequeues.load(Ordering::Relaxed))
+        let dequeues = self.sum(|b| &b.dequeues);
+        dequeues.saturating_sub(self.sum(|b| &b.empty_dequeues))
     }
 
     /// Advisory resident-value gauge: completed enqueues minus values
-    /// drained. Loads the dequeue side first so a concurrent completion
-    /// between the loads errs toward overcounting, never negative —
+    /// drained. Sums the dequeue side first so a concurrent completion
+    /// between the sums errs toward overcounting, never negative —
     /// exact at quiescence, stale by at most the number of in-flight
     /// operations under load.
-    #[cfg(feature = "stats")]
     pub(crate) fn depth(&self) -> usize {
         let drained = self.drained();
-        self.enqueues.load(Ordering::Relaxed).saturating_sub(drained) as usize
+        self.sum(|b| &b.enqueues).saturating_sub(drained) as usize
+    }
+
+    /// Retire-cache overflows across every block.
+    pub(crate) fn overflows(&self) -> u64 {
+        self.sum(|b| &b.cache_overflows)
     }
 }
 
-/// A point-in-time copy of a queue's helping statistics.
-///
-/// All-zero when the crate is built without the `stats` feature.
+impl Index<usize> for StatsTable {
+    type Output = Stats;
+
+    fn index(&self, tid: usize) -> &Stats {
+        &self.0[tid]
+    }
+}
+
+/// A point-in-time copy of a queue's helping statistics, summed over
+/// every virtual tid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Completed enqueue operations.
@@ -177,7 +234,8 @@ pub struct StatsSnapshot {
     /// Nodes freshly heap-allocated because no recycled node was
     /// available. Zero per op in steady state with `reuse_nodes` on.
     pub node_allocs: u64,
-    /// Nodes served from a recycle cache instead of the heap.
+    /// Nodes served from a recycle cache or the shared pool instead of
+    /// the heap.
     pub node_reuses: u64,
     /// Operations completed entirely on the descriptor-free fast path.
     pub fast_completions: u64,
@@ -187,6 +245,8 @@ pub struct StatsSnapshot {
     /// Fast-path attempts demoted to the slow path by the starvation
     /// peek.
     pub fast_starvation_demotions: u64,
+    /// Operations that ran the slow path (demoted ones included).
+    pub slow_ops: u64,
     /// Abandoned-handle reaps completed (zero unless
     /// `Config::reap_patience` is non-zero and a handle went silent).
     pub reaps: u64,
@@ -196,8 +256,10 @@ pub struct StatsSnapshot {
     pub reap_takeovers: u64,
     /// Epoch participants / hazard records force-quarantined by reaps.
     pub quarantines: u64,
-    /// Nodes that bypassed a full recycle cache/pool (memory-pressure
-    /// backpressure; see DESIGN.md §13 degradation bounds).
+    /// Retired nodes that left recycling for the allocator or the epoch
+    /// collector: the shared pool was at its cap, or a full retire
+    /// cache's front had not matured (memory-pressure backpressure; see
+    /// DESIGN.md §10 and §13).
     pub cache_overflows: u64,
 }
 
@@ -235,27 +297,32 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "stats")]
     #[test]
-    fn snapshot_reflects_bumps() {
-        let s = Stats::default();
-        Stats::bump(&s.enqueues);
-        Stats::bump(&s.enqueues);
-        Stats::bump(&s.helped_locks);
-        let snap = s.snapshot();
+    fn snapshot_sums_every_tid_block() {
+        let t = StatsTable::new(3);
+        t[0].enqueues.bump();
+        t[2].enqueues.bump();
+        t[1].helped_locks.bump();
+        t[1].dequeues.bump();
+        let snap = t.snapshot();
         assert_eq!(snap.enqueues, 2);
         assert_eq!(snap.helped_locks, 1);
-        assert_eq!(snap.ops(), 2);
-        assert!((snap.helped_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(snap.ops(), 3);
+        assert!((snap.helped_fraction() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(t.depth(), 1);
+        assert_eq!(t.drained(), 1);
     }
 
-    #[cfg(not(feature = "stats"))]
     #[test]
-    fn bumps_are_noops_without_the_feature() {
-        let s = Stats::default();
-        Stats::bump(&s.enqueues);
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-        assert_eq!(std::mem::size_of::<Stats>(), 0);
+    fn fast_path_since_subtracts_the_registration_reading() {
+        let t = StatsTable::new(1);
+        t[0].fast_completions.bump();
+        t[0].slow_ops.bump();
+        let base = t[0].fast_path_since(&FastPathStats::default());
+        t[0].fast_completions.bump();
+        let fp = t[0].fast_path_since(&base);
+        assert_eq!(fp.fast_completions, 1);
+        assert_eq!(fp.slow_ops, 0);
     }
 
     #[test]

@@ -529,41 +529,55 @@ fn many_variants_cross_thread_smoke() {
     }
 }
 
-/// The counter-derived overload gauges: exact at quiescence on every
-/// variant, `empty_dequeues` excluded from drain, pressure monotone.
-#[cfg(feature = "stats")]
+/// Exact overload gauges and Lemma 1–2 totals at a quiescent point.
+fn assert_quiescent(q: &WfQueue<u64>, depth: usize, drained: u64) {
+    assert_eq!(q.depth_hint(), Some(depth));
+    assert_eq!(q.drained_hint(), Some(drained));
+    let s = q.stats();
+    assert_eq!(
+        s.appends_total, s.enqueues,
+        "Lemma 1: one append per enqueue"
+    );
+    assert_eq!(
+        s.locks_total,
+        s.dequeues - s.empty_dequeues,
+        "Lemma 2: one lock per value"
+    );
+}
+
+/// The counter-derived overload gauges sum every tid's cells: exact at
+/// quiescence on every variant when producer and consumer are different
+/// handles, and across handle exit and tid reuse; `empty_dequeues`
+/// excluded from drain.
 #[test]
 fn depth_hint_tracks_residency_at_quiescence() {
     for cfg in all_configs() {
         let q: WfQueue<u64> = WfQueue::with_config(2, cfg);
-        assert_eq!(q.depth_hint(), Some(0));
-        assert_eq!(q.drained_hint(), Some(0));
+        assert_quiescent(&q, 0, 0);
         assert_eq!(q.capacity_hint(), None, "KP engine is unbounded");
-        let mut h = q.register().unwrap();
+        let mut producer = q.register().unwrap();
+        let mut consumer = q.register().unwrap();
         for i in 0..10 {
-            h.enqueue(i);
+            producer.enqueue(i);
         }
-        assert_eq!(q.depth_hint(), Some(10));
+        assert_quiescent(&q, 10, 0);
         for _ in 0..4 {
-            h.dequeue().unwrap();
+            consumer.dequeue().unwrap();
         }
-        assert_eq!(q.depth_hint(), Some(6));
-        assert_eq!(q.drained_hint(), Some(4));
+        assert_quiescent(&q, 6, 4);
+        drop(producer);
+        drop(consumer);
+        assert_quiescent(&q, 6, 4);
+        // Both tids are reused; their holders add to the same cells.
+        let mut consumer = q.register().unwrap();
+        let mut producer = q.register().unwrap();
+        for i in 0..3 {
+            producer.enqueue(i);
+        }
+        assert_quiescent(&q, 9, 4);
         // Empty dequeues complete but carry no value: gauge unmoved.
-        while h.dequeue().is_some() {}
-        assert_eq!(h.dequeue(), None);
-        assert_eq!(q.depth_hint(), Some(0));
-        assert_eq!(q.drained_hint(), Some(10));
+        while consumer.dequeue().is_some() {}
+        assert_eq!(consumer.dequeue(), None);
+        assert_quiescent(&q, 0, 13);
     }
-}
-
-/// With `stats` compiled out the gauges must report "cannot say", not a
-/// fake zero — the channel's admission control keys off this.
-#[cfg(not(feature = "stats"))]
-#[test]
-fn depth_hint_unknown_without_stats() {
-    let q: WfQueue<u64> = WfQueue::new(2);
-    assert_eq!(q.depth_hint(), None);
-    assert_eq!(q.drained_hint(), None);
-    assert_eq!(q.pressure_hint(), 0);
 }

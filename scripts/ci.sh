@@ -10,8 +10,8 @@
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
 #   5. a time-capped kill/restart soak of the reaper rounds
 #      (SOAK_SECS, default 120)
-#   6. a no-default-features build (stats feature off) to keep the
-#      feature matrix honest
+#   6. the repository benchmark's self-checks and a short traced run of
+#      each workload (needs at least 2 cores; skips loudly otherwise)
 #   7. best-effort sanitizer stages: Miri and ThreadSanitizer run when
 #      the toolchain supports them, skip loudly when it does not
 set -euo pipefail
@@ -89,7 +89,7 @@ echo "=== overload gate (DESIGN.md SS16) ==="
 # chan.{send_park,wake}, deadline accuracy under stalls, and the
 # kill-mid-quarantine recovery round.
 cargo test --release -q --test overload
-cargo test --features chaos --release -q --test torture \
+cargo test --features chaos --release -q --test torture -- \
     channel_parked_senders_never_lose_wakeups \
     channel_deadlines_never_fire_early_under_seeded_stalls \
     channel_quarantine_survives_consumer_killed_mid_drain
@@ -110,8 +110,24 @@ while [ "$(date +%s)" -lt "$soak_deadline" ]; do
 done
 echo "soak ok: $soak_rounds round(s) within ${SOAK_SECS:-120}s"
 
-echo "=== feature matrix: stats off ==="
-cargo build -p kp-queue --no-default-features
+echo "=== perfbench (BENCHMARK.json) ==="
+# The benchmark package's own tests (its exactly-once/FIFO checker must
+# flag injected lost, duplicated and reordered values), then a 2 s
+# traced run of each workload, which must exit 0: a delivery violation
+# exits 1. perfbench refuses to run on fewer than 2 cores, because
+# every workload keeps two threads busy.
+if [ "$(nproc)" -lt 2 ]; then
+    echo "perfbench: SKIPPED -- $(nproc) core(s) in the affinity mask, perfbench needs 2"
+else
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    for workload in pairs stream bursty; do
+        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --bursty-rate 500000 --bursty-burst 256 --bursty-quota 1024 \
+            --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+            || { echo "ci: FAIL -- perfbench $workload" >&2; exit 1; }
+        echo "perfbench $workload ok"
+    done
+fi
 
 echo "=== miri (best-effort) ==="
 scripts/miri.sh || { echo "ci: miri stage failed" >&2; exit 1; }

@@ -145,7 +145,7 @@ NO = "crates/kp-queue/src/node.rs"
 AR = "crates/kp-queue/tests/alloc_regression.rs"
 EX = "crates/kp-queue/examples/hp_stress_probe.rs"
 HH = "crates/kp-queue/src/hp/handle.rs"
-HP = "crates/kp-queue/src/hp/pool.rs"
+PO = "crates/kp-queue/src/pool.rs"
 HQ = "crates/kp-queue/src/hp/queue.rs"
 HTY = "crates/kp-queue/src/hp/types.rs"
 HTE = "crates/kp-queue/src/hp/tests.rs"
@@ -318,44 +318,41 @@ TABLE = {
         ("compare_exchange", 0): spec("linearization", "test-only fixture: the fast append CAS without the step-3 tail swing -- same L74 linearization point as try_fast_enqueue", sc=SC_APPEND, steps=["FastAppend"]),
     },
     (Q, "drop"): spec("reclamation", WHY_TEARDOWN),
-    (Q, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (cache overflows) for admission control; Relaxed monotonic counter read, no synchronization intent"),
     # ----- kp-queue/stats.rs -----------------------------------------
-    (ST, "bump"): spec("stats", "monotonic helping counter; no synchronization intent"),
-    (ST, "snapshot"): spec("stats", "counter snapshot; Relaxed per-counter reads, no cross-counter consistency promised"),
-    (ST, "drained"): spec("stats", "advisory drain heartbeat (dequeues minus empty dequeues) for the overload watchdog; Relaxed -- exact at quiescence, stale by in-flight ops under load, and the watchdog only compares it across ticks"),
-    (ST, "depth"): spec("stats", "advisory resident-value gauge; loads the dequeue side first (via drained) so a racing completion overcounts, never goes negative -- admission control treats it as a hint, not a bound"),
+    (ST, "bump"): spec("stats", "single-writer counter bump: only the handle holding the block's tid writes it, so a Relaxed load + store replaces the RMW (stats.rs module docs); no synchronization intent"),
+    (ST, "get"): spec("stats", "counter read for snapshots and the advisory depth/drain/pressure gauges; Relaxed per-cell reads summed across tids -- exact at quiescence, stale by in-flight ops under load, no cross-counter consistency promised"),
     # ----- kp-queue tests / examples ---------------------------------
     (QT, "drop"): spec("stats", WHY_TEST),
     (QT, "drop_releases_resident_values"): spec("stats", WHY_TEST),
     (NO, "fresh_node_is_unlocked"): spec("stats", WHY_TEST),
+    (NO, "free_next"): spec("reclamation", "pool link through a mature node's next, read by its exclusive owner (stealer or pool teardown); Relaxed -- the pool's Release CAS / Acquire swap order it"),
+    (NO, "set_free_next"): spec("reclamation", "relinks a mature, exclusively owned node's next into a pool chain before the pool's Release CAS publishes it"),
     (AR, "contended_window_allocs"): spec("stats", "test marker delimiting the measured allocation window"),
+    (AR, "split_window_allocs"): spec("stats", "test scaffolding: credit window between the split test's producer and consumer threads"),
     (EX, "main"): spec("stats", "stress-probe progress reporting"),
     # ----- kp-queue/hp/handle.rs -------------------------------------
     (HH, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    (HH, "steal_batch"): spec("reclamation", "walks a privately stolen freelist; Relaxed after steal's Acquire swap"),
     (HH, "read_deq_result"): spec("reclamation", "owner's half of the two-token disposal gate; AcqRel makes exactly one side observe both tokens and free the node"),
     (HH, "drop"): spec("reclamation", "retracts the hazard-record token before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
-    # ----- kp-queue/hp/pool.rs ---------------------------------------
-    (HP, "release"): {
-        ("load", 0): spec("reclamation", "bounded-cache size check; advisory"),
+    # ----- kp-queue/pool.rs (shared by both engines) -----------------
+    (PO, "push_chain"): {
+        ("load", 0): spec("reclamation", "bounded-pool size check; advisory"),
         ("load", 1): spec("reclamation", "head read for the push loop"),
-        ("store", 0): spec("reclamation", "links the node; exclusively owned until the CAS publishes it"),
-        ("compare_exchange_weak", 0): spec("reclamation", "publishes the node to the Treiber freelist; Release orders the free_next link before publication; failed pushes retry with a fresh head read"),
+        ("compare_exchange_weak", 0): spec("reclamation", "publishes the chain to the Treiber freelist; Release orders the last node's free link before publication; failed pushes retry with a fresh head read"),
         ("fetch_add", 0): spec("reclamation", "approximate freelist length"),
         ("fetch_add", 1): spec("stats", "memory-pressure backpressure counter (DESIGN.md SS13.5): nodes freed past the pool cap"),
     },
-    (HP, "overflows"): spec("stats", "backpressure counter snapshot"),
-    (HP, "steal"): {
-        ("swap", 0): spec("reclamation", "takes the whole freelist; Acquire pairs with release's Release so the links are visible"),
-        ("store", 0): spec("reclamation", "approximate length reset"),
+    (PO, "overflows"): spec("stats", "backpressure counter snapshot"),
+    (PO, "steal"): {
+        ("load", 0): spec("reclamation", "empty probe before the swap; Relaxed -- a stale non-null only costs a swap that finds nothing, a stale null defers the steal to the next call"),
+        ("load", 1): spec("reclamation", "length read for the empty-pool repair; advisory"),
+        ("store", 0): spec("reclamation", "resets a length a racing push left overcounted once the pool is seen empty; advisory bound only"),
+        ("swap", 0): spec("reclamation", "takes the whole freelist; Acquire pairs with push_chain's Release (and its release sequence) so the links are visible"),
+        ("store", 1): spec("reclamation", "approximate length reset"),
     },
-    (HP, "drop"): spec("reclamation", WHY_TEARDOWN),
-    (HP, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors read_deq_result"),
-    (HP, "release_steal_roundtrip"): spec("stats", WHY_TEST),
-    (HP, "token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
+    (PO, "empty_steal_repairs_an_overcounted_len"): spec("stats", WHY_TEST),
     # ----- kp-queue/hp/queue.rs --------------------------------------
     (HQ, "len_approx_quiescent"): spec("stats", "quiescent-only O(n) walk", sc=SC_QUIESCENT),
-    (HQ, "pressure_hint"): spec("stats", "advisory memory-pressure gauge (cache overflows plus pool overflows) for admission control; Relaxed monotonic counter reads, no synchronization intent"),
     (HQ, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
     (HQ, "help_enq"): {
         ("load", 0): spec("helper-guard", "tail-lag check (L72)", sc=SC_HELP),
@@ -413,6 +410,10 @@ TABLE = {
     (HQ, "drop"): spec("reclamation", WHY_TEARDOWN),
     # ----- kp-queue/hp tests -----------------------------------------
     (HTY, "fresh_nodes_start_ungated"): spec("stats", WHY_TEST),
+    (HTY, "free_next"): spec("reclamation", "pool link read by the node's exclusive owner (a stealer walking its chain, or the pool's teardown); Relaxed -- the pool's Release CAS / Acquire swap order the link"),
+    (HTY, "set_free_next"): spec("reclamation", "links an exclusively owned node into a chain before the pool's Release CAS publishes it"),
+    (HTY, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors read_deq_result"),
+    (HTY, "token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
     (HTY, "sentinels_are_born_consumed"): spec("stats", WHY_TEST),
     (HTE, "drop"): spec("stats", WHY_TEST),
     (HTE, "values_dropped_exactly_once"): spec("stats", WHY_TEST),

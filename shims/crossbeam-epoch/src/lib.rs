@@ -147,7 +147,7 @@ pub fn global_epoch() -> usize {
 /// call attempts.
 ///
 /// Deliberately does NOT sweep the garbage list: callers like
-/// `RetireCache::pop_mature` nudge this on their hot path purely to
+/// `RetireCache::pop` nudge this on their hot path purely to
 /// ripen their own caches, and paying an O(garbage) sweep per nudge
 /// turned the reuse fast path into the slowest configuration on an
 /// oversubscribed host. Sweeping stays with [`collect`] (guard drop

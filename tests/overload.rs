@@ -10,7 +10,7 @@
 //! upper bounds asserted are deliberately loose.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use wfq_repro::kp_channel::{
@@ -348,6 +348,50 @@ fn full_quarantined_shard_does_not_deadlock_send_batch() {
         }
     });
     assert!(batch_done.load(Ordering::SeqCst), "send_batch never returned");
+}
+
+// ---------------------------------------------------------------------
+// memory-pressure signal
+// ---------------------------------------------------------------------
+
+/// A healthy 1P1C stream over `Channel::kp` is not memory pressure. The
+/// consumer retires a node per message and never enqueues, so its
+/// retired nodes must reach the producer through the engine's shared
+/// pool; if they instead overflowed its retire cache, every message
+/// would count as a pressure event and a pressure quota would refuse a
+/// stream that is keeping up.
+#[test]
+fn healthy_kp_stream_reports_no_memory_pressure() {
+    const MESSAGES: u64 = 200_000;
+    const CREDIT: u64 = 256;
+    let chan: Channel<u64, WfQueue<u64>> = Channel::kp(cfg(1, 1, 1));
+    let mut tx = chan.sender();
+    let mut rx = chan.receiver();
+    let received = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let received = &received;
+        s.spawn(move || {
+            for seq in 0..MESSAGES {
+                while seq - received.load(Ordering::Acquire) >= CREDIT {
+                    std::thread::yield_now();
+                }
+                tx.try_send(seq)
+                    .expect("an unbounded KP shard never refuses");
+            }
+        });
+        for expect in 0..MESSAGES {
+            let v = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("stream stalled");
+            assert_eq!(v, expect, "single-producer FIFO");
+            received.store(expect + 1, Ordering::Release);
+        }
+    });
+    let pressure = chan.health_snapshot().shards[0].pressure;
+    assert!(
+        pressure * 100 < MESSAGES,
+        "{pressure} memory-pressure events over {MESSAGES} messages (bound: 0.01 per message)"
+    );
 }
 
 // ---------------------------------------------------------------------
