@@ -16,6 +16,11 @@ use crate::reap::{Observation, ReapScan};
 use crate::recycle::RetireCache;
 use crate::stats::Stats;
 
+/// Values a batch operation completes under one epoch pin before it
+/// renews the pin (see [`WfHandle::enqueue_batch`]). A repin is one
+/// store and one load of the epoch word, small next to 32 operations.
+const REPIN_EVERY: usize = 32;
+
 /// A registered thread's handle to a [`WfQueue`].
 ///
 /// Owns a virtual thread ID (`TID` in the paper's listings) for the
@@ -709,10 +714,15 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// its own operation of the protocol (own fast-path attempt or
     /// phase/descriptor publish), so the per-operation wait-freedom
     /// bound is unchanged; strictly the entry/exit overhead is
-    /// amortized. The epoch pin is held across the batch, delaying
-    /// node reclamation by at most one batch — callers should keep
-    /// batches modest (the channel layer bounds them by its configured
-    /// batch size).
+    /// amortized.
+    ///
+    /// The pin is renewed ([`Guard::repin`]) every 32 values, between
+    /// two completed operations, so a batch delays node reclamation by
+    /// at most 32 values rather than by the whole batch. A pin held
+    /// across the batch would also stall the batch's own retirements:
+    /// while this thread stays pinned behind the global epoch, no nudge
+    /// (ours or a peer's) can move the epoch the two steps a node
+    /// retired here needs to mature.
     ///
     /// Returns how many values were enqueued (always `batch.len()`).
     ///
@@ -731,9 +741,15 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // Prologue strictly before pin (publisher-scan order, as in
         // `enqueue`); one liveness beat covers the whole batch.
         self.op_prologue();
-        let guard = epoch::pin();
+        let mut guard = epoch::pin();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            for value in batch.drain(..) {
+            for (i, value) in batch.drain(..).enumerate() {
+                // Between two completed operations nothing this handle
+                // holds points into the queue, so renewing the pin is
+                // what a scalar caller's unpin and pin would do.
+                if i > 0 && i % REPIN_EVERY == 0 {
+                    guard.repin();
+                }
                 // The watchdog still sees one bounded operation per
                 // value — batching must not relax the O(n) step budget.
                 chaos_hooks::op_begin();
@@ -759,7 +775,10 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// stopping at the first empty observation; returns how many were
     /// taken. The batched twin of [`enqueue_batch`]: per-call fixed
     /// costs are paid once, each value is still its own bounded
-    /// operation, and the epoch pin spans the batch.
+    /// operation, and the epoch pin is renewed every 32 values. A
+    /// consumer retires one node per value, so without the renewal
+    /// every sentinel this batch unlinks would stay immature until the
+    /// batch ended.
     ///
     /// [`enqueue_batch`]: Self::enqueue_batch
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
@@ -767,10 +786,13 @@ impl<'q, T: Send> WfHandle<'q, T> {
             return 0;
         }
         self.op_prologue();
-        let guard = epoch::pin();
+        let mut guard = epoch::pin();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut taken = 0;
             while taken < max {
+                if taken > 0 && taken % REPIN_EVERY == 0 {
+                    guard.repin();
+                }
                 chaos_hooks::op_begin();
                 let value = if self.max_fast_failures > 0 {
                     self.dequeue_fast_first(&guard)

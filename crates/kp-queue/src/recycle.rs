@@ -109,21 +109,28 @@ impl<T> RetireCache<T> {
         false
     }
 
-    /// True when the front node is mature, after up to two collector
-    /// nudges.
+    /// True when the front node is mature, after at most one collector
+    /// nudge.
     ///
     /// Our own current pin never blocks maturity: pinning happened at
     /// some epoch `p >= tag`, and `tag + 2 <= global_epoch()` already
     /// proves the global epoch moved past every pin taken at `tag` or
     /// earlier — including one of our own taken before the retirement.
     fn ripen(&self) -> bool {
-        // Up to two nudges: a freshly retired node is tagged with the
-        // current epoch and ripens once the global epoch is two steps
-        // past it, so two successful `advance` calls take a just-pushed
-        // front node from unripe to reusable within a single call.
-        // `advance` is safe (and cheap) while pinned.
+        let Some(&(tag, _)) = self.nodes.front() else {
+            return false;
+        };
+        if tag + 2 <= epoch::global_epoch() {
+            return true;
+        }
+        // One nudge. Every caller is pinned (inside an operation), and
+        // a pinned caller moves the epoch at most one step: once the
+        // epoch passes its pin, `advance` returns without scanning, so
+        // a second nudge could not succeed. The front ripens over
+        // successive calls as the caller's operations unpin and pin
+        // again (a batch repins every 32 values for this reason).
         //
-        // The nudges cannot help when a *peer* thread sits preempted
+        // The nudge cannot help when a *peer* thread sits preempted
         // inside a pin: `advance` refuses to move past an active pin at
         // an older epoch, by design — that pin may still hold a
         // `Shared` into a cached node. On an oversubscribed host
@@ -134,18 +141,8 @@ impl<T> RetireCache<T> {
         // (§3.4). That cost is bounded by `alloc_regression.rs`; the HP
         // variant pins only ≤2 nodes per stalled thread, which is why
         // its contended rows stay allocation-free.
-        for nudge in 0..3 {
-            let Some(&(tag, _)) = self.nodes.front() else {
-                return false;
-            };
-            if tag + 2 <= epoch::global_epoch() {
-                return true;
-            }
-            if nudge < 2 {
-                epoch::advance();
-            }
-        }
-        false
+        epoch::advance();
+        tag + 2 <= epoch::global_epoch()
     }
 
     /// Moves every mature node at the front of the cache to `pool` as

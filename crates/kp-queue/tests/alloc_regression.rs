@@ -92,6 +92,23 @@ fn steady_state_is_allocation_free() {
     );
     drop(q);
 
+    // --- Epoch variant, alternating batches -------------------------
+    // The channel's batched shape: one thread enqueues a 256-value
+    // batch, then the other dequeues it, taking turns. Each batch runs
+    // under one handle call, so the consumer retires 256 sentinels in
+    // one call; unless that call renews its pin, none of them can
+    // mature before it returns, the consumer's cache overflows to the
+    // collector, and the producer allocates about every other node.
+    let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
+    let allocs = alternating_batch_allocs(&q);
+    let values = BATCH_ROUNDS * BATCH as u64;
+    assert!(
+        allocs * 100 < values,
+        "epoch variant, alternating batches: {allocs} allocations in \
+         {values} values (bound: 0.01 per value)"
+    );
+    drop(q);
+
     // --- Reuse OFF must still allocate (the guard guards something) -
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::opt_both().with_reuse(false));
     let mut h = q.register().unwrap();
@@ -213,6 +230,62 @@ fn split_window_allocs(q: &WfQueue<u64>) -> u64 {
                 };
                 assert_eq!(v, i, "single-producer FIFO");
                 received.store(i + 1, Ordering::Release);
+            }
+            (alloc_track::total_allocs() - mark) as u64
+        });
+        consumer.join().unwrap()
+    })
+}
+
+/// Values per batch in the alternating case, and the number of turns
+/// each thread takes before and inside the measured window.
+const BATCH: usize = 256;
+const BATCH_WARMUP_ROUNDS: u64 = 80;
+const BATCH_ROUNDS: u64 = 400;
+
+/// One thread `enqueue_batch`es `BATCH` values, then the other
+/// `dequeue_batch`es them, turns passed through an atomic, for
+/// `BATCH_WARMUP_ROUNDS + BATCH_ROUNDS` rounds; returns the
+/// process-wide heap allocations across the last `BATCH_ROUNDS`.
+fn alternating_batch_allocs(q: &WfQueue<u64>) -> u64 {
+    use kp_sync::atomic::{AtomicU64, Ordering};
+    let rounds = BATCH_WARMUP_ROUNDS + BATCH_ROUNDS;
+    // Even: the producer's turn for round `turn / 2`; odd: the consumer's.
+    let turn = AtomicU64::new(0);
+    let wait_for = |t: u64| {
+        while turn.load(Ordering::Acquire) != t {
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = q.register().unwrap();
+            let mut batch = Vec::with_capacity(BATCH);
+            for r in 0..rounds {
+                wait_for(2 * r);
+                let first = r * BATCH as u64;
+                batch.extend(first..first + BATCH as u64);
+                assert_eq!(h.enqueue_batch(&mut batch), BATCH);
+                turn.store(2 * r + 1, Ordering::Release);
+            }
+        });
+        let consumer = s.spawn(|| {
+            let mut h = q.register().unwrap();
+            let mut out = Vec::with_capacity(BATCH);
+            let mut mark = 0;
+            for r in 0..rounds {
+                wait_for(2 * r + 1);
+                if r == BATCH_WARMUP_ROUNDS {
+                    mark = alloc_track::total_allocs();
+                }
+                out.clear();
+                assert_eq!(h.dequeue_batch(&mut out, BATCH), BATCH);
+                let first = r * BATCH as u64;
+                assert!(
+                    out.iter().copied().eq(first..first + BATCH as u64),
+                    "batch FIFO"
+                );
+                turn.store(2 * r + 2, Ordering::Release);
             }
             (alloc_track::total_allocs() - mark) as u64
         });

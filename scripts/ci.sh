@@ -6,13 +6,14 @@
 #   3. atomics audit: every atomic call site and unsafe occurrence must
 #      match ATOMICS.toml (see DESIGN.md SS11), plus a self-test that the
 #      gate actually fails on an undocumented atomic
-#   4. a short seeded chaos-torture smoke (fault-injection suite with a
+#   4. the epoch shim's unit tests (tier-1 covers only the root package)
+#   5. a short seeded chaos-torture smoke (fault-injection suite with a
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
-#   5. a time-capped kill/restart soak of the reaper rounds
+#   6. a time-capped kill/restart soak of the reaper rounds
 #      (SOAK_SECS, default 120)
-#   6. the repository benchmark's self-checks and a short traced run of
+#   7. the repository benchmark's self-checks and a short traced run of
 #      each workload (needs at least 2 cores; skips loudly otherwise)
-#   7. best-effort sanitizer stages: Miri and ThreadSanitizer run when
+#   8. best-effort sanitizer stages: Miri and ThreadSanitizer run when
 #      the toolchain supports them, skip loudly when it does not
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,6 +47,12 @@ if cargo run -q -p atomics-audit -- --root "$selftest_dir" --manifest ATOMICS.to
     exit 1
 fi
 echo "self-test ok: injected atomic was caught"
+
+echo "=== epoch shim (shims/crossbeam-epoch) ==="
+# The reclamation engine under the KP epoch variant: pin/unpin, the
+# advance rules (including the early exit of a thread pinned behind the
+# global epoch), quarantine, and participant tokens.
+cargo test -p crossbeam-epoch --release -q
 
 echo "=== chaos smoke (seeded fault injection) ==="
 cargo test --features chaos --release -q --test torture

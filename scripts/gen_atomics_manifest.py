@@ -329,6 +329,7 @@ TABLE = {
     (NO, "set_free_next"): spec("reclamation", "relinks a mature, exclusively owned node's next into a pool chain before the pool's Release CAS publishes it"),
     (AR, "contended_window_allocs"): spec("stats", "test marker delimiting the measured allocation window"),
     (AR, "split_window_allocs"): spec("stats", "test scaffolding: credit window between the split test's producer and consumer threads"),
+    (AR, "alternating_batch_allocs"): spec("stats", "test scaffolding: turn word handing each batch between the alternating test's producer and consumer threads"),
     (EX, "main"): spec("stats", "stress-probe progress reporting"),
     # ----- kp-queue/hp/handle.rs -------------------------------------
     (HH, "alloc_node"): spec("reclamation", WHY_RECYCLE),

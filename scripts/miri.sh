@@ -9,9 +9,10 @@
 # missing the script *skips with exit 0* and says so clearly — CI treats
 # a skip as success, a real Miri failure as red.
 #
-# Scope: kp-queue, hazard, idpool unit tests. The long stress tests are
-# excluded via the filters below — Miri runs them ~100x slower than
-# native and the sanitizer stage covers the concurrency angle natively.
+# Scope: kp-queue, hazard, idpool and epoch-shim unit tests. The long
+# stress tests are excluded via the filters below — Miri runs them ~100x
+# slower than native and the sanitizer stage covers the concurrency
+# angle natively.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +30,7 @@ rustup component list --toolchain nightly 2>/dev/null | grep -q "^miri.*(install
 echo "miri: running core suites (this is slow)"
 # Isolation stays on (the default) — the shims are deterministic and the
 # filtered tests do no real I/O. Skip the known stress/timing tests.
-MIRIFLAGS="${MIRIFLAGS:-}" cargo +nightly miri test -p kp-queue -p hazard -p idpool -- \
+MIRIFLAGS="${MIRIFLAGS:-}" cargo +nightly miri test -p kp-queue -p hazard -p idpool -p crossbeam-epoch -- \
     --skip stress --skip torture --skip contention --skip concurrent
 status=$?
 if [ $status -ne 0 ]; then

@@ -36,7 +36,7 @@ echo "tsan: running concurrent suites on $host"
 # surface as noise via TSAN_OPTIONS externally.
 RUSTFLAGS="-Zsanitizer=thread ${RUSTFLAGS:-}" \
 RUSTDOCFLAGS="-Zsanitizer=thread" \
-cargo +nightly test -Zbuild-std --target "$host" -p kp-queue -p hazard -p idpool
+cargo +nightly test -Zbuild-std --target "$host" -p kp-queue -p hazard -p idpool -p crossbeam-epoch
 status=$?
 if [ $status -ne 0 ]; then
     echo "tsan: FAILED" >&2

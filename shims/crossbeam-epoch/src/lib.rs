@@ -13,8 +13,20 @@
 //!   global queue (triggering a collection attempt) when it grows, when
 //!   `Guard::flush` is called, or when the thread exits.
 //!
-//! All epoch bookkeeping uses `SeqCst`; this shim favors obvious
-//! correctness over the fenceless fast paths of the real crate.
+//! Pinning, the collector's scan and every epoch bump are `SeqCst`.
+//! Unpinning is a `Release` store, as in the real crate: the collector
+//! reads a participant's word with a `SeqCst` load, so observing the
+//! unpinned word acquires every read the critical section made, and
+//! nothing it reached is freed before those reads. (The hazard crate's
+//! `Participant::clear` makes the same argument for a hazard slot.)
+//!
+//! [`advance`] returns at once when the calling thread is pinned at an
+//! epoch older than the global one: that pin alone forbids the step,
+//! so taking the registry lock to scan every participant would be
+//! wasted work.
+//!
+//! The global epoch and each participant's slot sit on cache lines of
+//! their own, so a pin or unpin does not invalidate a peer's line.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -48,7 +60,9 @@ unsafe fn drop_box<T>(ptr: *mut u8) {
 }
 
 /// Per-thread pin status: `(epoch << 1) | pinned`, plus a liveness flag
-/// so exited threads do not block epoch advancement forever.
+/// so exited threads do not block epoch advancement forever. Aligned to
+/// a cache line: its owner writes `state` on every pin and unpin.
+#[repr(align(128))]
 struct Slot {
     /// Forgery-proof participant identity: a monotonically increasing
     /// registration sequence number, never reused. Tokens handed out by
@@ -66,8 +80,22 @@ struct Slot {
 /// "no participant" sentinel.
 static NEXT_PARTICIPANT_ID: AtomicUsize = AtomicUsize::new(1);
 
+/// The global epoch on a cache line of its own: every pin reads it, and
+/// the registry and garbage locks next to it are written on each
+/// collection attempt.
+#[repr(align(128))]
+struct EpochLine(AtomicUsize);
+
+impl Deref for EpochLine {
+    type Target = AtomicUsize;
+
+    fn deref(&self) -> &AtomicUsize {
+        &self.0
+    }
+}
+
 struct Global {
-    epoch: AtomicUsize,
+    epoch: EpochLine,
     registry: Mutex<Vec<Arc<Slot>>>,
     /// Garbage tagged with its retirement epoch.
     garbage: Mutex<Vec<(usize, Deferred)>>,
@@ -76,7 +104,7 @@ struct Global {
 fn global() -> &'static Global {
     static GLOBAL: OnceLock<Global> = OnceLock::new();
     GLOBAL.get_or_init(|| Global {
-        epoch: AtomicUsize::new(2),
+        epoch: EpochLine(AtomicUsize::new(2)),
         registry: Mutex::new(Vec::new()),
         garbage: Mutex::new(Vec::new()),
     })
@@ -142,9 +170,12 @@ pub fn global_epoch() -> usize {
 
 /// Tries to advance the global epoch by one step (it advances only if
 /// every currently pinned thread is pinned at the current epoch).
-/// Alloc-free; safe to call while pinned — a thread pinned at epoch `p`
-/// only ever blocks advancement beyond `p + 1`, never the step this
-/// call attempts.
+/// Alloc-free and safe to call while pinned. A caller pinned at the
+/// current epoch `e` can still take the step to `e + 1`; once there,
+/// its own pin forbids the next one, so a caller pinned at an epoch
+/// older than the global one returns before touching the registry
+/// lock. A long pinned section must [`Guard::repin`] for its own nudges
+/// to move the epoch again.
 ///
 /// Deliberately does NOT sweep the garbage list: callers like
 /// `RetireCache::pop` nudge this on their hot path purely to
@@ -156,10 +187,23 @@ pub fn global_epoch() -> usize {
 /// advancing.
 pub fn advance() {
     let g = global();
+    let epoch = g.epoch.load(Ordering::SeqCst);
+    // Relaxed: this thread's own word, which only this thread writes
+    // (quarantine writes it only for a thread that never runs again).
+    let pinned_behind = LOCAL
+        .try_with(|local| {
+            let s = local.slot.state.load(Ordering::Relaxed);
+            s & 1 == 1 && s >> 1 < epoch
+        })
+        .unwrap_or(false);
+    if pinned_behind {
+        return;
+    }
     let Ok(registry) = g.registry.try_lock() else {
         return;
     };
-    let epoch = g.epoch.load(Ordering::SeqCst);
+    // `epoch` was read before the lock; if it moved since, the scan
+    // below validates a stale value and the CAS fails harmlessly.
     let can_advance = registry.iter().all(|slot| {
         let s = slot.state.load(Ordering::SeqCst);
         s & 1 == 0 || s >> 1 == epoch
@@ -417,7 +461,9 @@ impl Drop for Guard {
             let count = local.guard_count.get();
             local.guard_count.set(count - 1);
             if count == 1 {
-                local.slot.state.store(0, Ordering::SeqCst);
+                // Release suffices (module docs): the collector's SeqCst
+                // load of this word acquires the critical section's reads.
+                local.slot.state.store(0, Ordering::Release);
                 if local.bag.borrow().len() >= LOCAL_BAG_FLUSH {
                     local.flush_bag();
                     collect();
@@ -680,6 +726,18 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc as StdArc;
 
+    /// Serializes every test that pins. The epoch is process-global, so
+    /// a sibling test holding a pin (or churning pins on four threads)
+    /// starves another test's bounded wait for the epoch to advance.
+    static EPOCH_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the next one still runs.
+        EPOCH_TESTS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     struct CountsDrops(StdArc<AtomicUsize>);
     impl Drop for CountsDrops {
         fn drop(&mut self) {
@@ -699,6 +757,7 @@ mod tests {
 
     #[test]
     fn pinned_defer_waits_for_epochs() {
+        let _serial = serial();
         let drops = StdArc::new(AtomicUsize::new(0));
         let a = Atomic::new(CountsDrops(drops.clone()));
         {
@@ -721,6 +780,7 @@ mod tests {
 
     #[test]
     fn quarantine_unwedges_a_leaked_pin() {
+        let _serial = serial();
         // A thread leaks a Guard and parks forever: it stays pinned at
         // its entry epoch, so the global epoch can never advance more
         // than one step past it. Quarantining the participant removes
@@ -766,7 +826,55 @@ mod tests {
     }
 
     #[test]
+    fn advance_while_pinned_behind_waits_for_repin() {
+        let _serial = serial();
+        let mut guard = pin();
+        // Our own pinned word, not `global_epoch()`: an exiting thread's
+        // collection may step the epoch once at any moment.
+        let pinned_at = LOCAL.with(|local| local.slot.state.load(Ordering::Relaxed) >> 1);
+        // Pinned at the current epoch, this thread may take one step.
+        for _ in 0..10_000 {
+            advance();
+            if global_epoch() > pinned_at {
+                break;
+            }
+        }
+        let behind = global_epoch();
+        assert_eq!(
+            behind,
+            pinned_at + 1,
+            "a pin at the current epoch allows one step"
+        );
+        // Now pinned behind the global epoch: its own pin forbids the
+        // next step, however often it nudges.
+        for _ in 0..64 {
+            advance();
+        }
+        assert_eq!(
+            global_epoch(),
+            behind,
+            "a thread pinned behind the epoch moved it"
+        );
+        // Renewing the pin at the current epoch lets its nudges move
+        // the epoch again.
+        guard.repin();
+        for _ in 0..10_000 {
+            advance();
+            if global_epoch() > behind {
+                break;
+            }
+        }
+        assert_eq!(
+            global_epoch(),
+            behind + 1,
+            "advance after repin moves the epoch"
+        );
+        drop(guard);
+    }
+
+    #[test]
     fn stale_token_never_matches_a_new_participant() {
+        let _serial = serial();
         // Regression: tokens used to be raw Arc addresses of registry
         // slots, so a dead thread's freed slot could be reallocated at
         // the same address for a new thread and the stale token would
@@ -807,6 +915,7 @@ mod tests {
 
     #[test]
     fn cas_failure_returns_ownership() {
+        let _serial = serial();
         let drops = StdArc::new(AtomicUsize::new(0));
         let a = Atomic::new(CountsDrops(drops.clone()));
         let guard = pin();
@@ -829,6 +938,7 @@ mod tests {
 
     #[test]
     fn concurrent_churn_is_safe() {
+        let _serial = serial();
         let a = StdArc::new(Atomic::new(0u64));
         let mut handles = Vec::new();
         for t in 0..4 {

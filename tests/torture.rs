@@ -101,6 +101,11 @@ fn verify_consumed(
 /// finish every operation, the ledger must balance (minus at most one
 /// value the victim's exit cleanup discarded), the victim's virtual ID
 /// must be re-acquirable, and the watchdog budget must hold.
+///
+/// With `lag_tail = true` (KP queues only) the victim producer leaves a
+/// lagging tail with `fast_append_unswung` before each of its enqueues,
+/// so a budget-1 fast enqueue demotes on every turn instead of only on
+/// organic interference (see the mid-demotion tests).
 macro_rules! kill_torture_round {
     ($queue:expr, $kill_site:literal, $kill_victim:expr, $allow_missing_per_kill:expr) => {
         kill_torture_round!(
@@ -112,7 +117,7 @@ macro_rules! kill_torture_round {
         )
     };
     ($queue:expr, $kill_site:literal, $kill_victim:expr, $allow_missing_per_kill:expr,
-     per = $per:expr) => {{
+     per = $per:expr $(, lag_tail = $lag_tail:expr)?) => {{
         quiet_chaos_kills();
         const N: usize = 4;
         let per = $per;
@@ -147,6 +152,16 @@ macro_rules! kill_torture_round {
                                 for i in 0..per {
                                     let v = (p * per + i) as u64;
                                     attempted[p].lock().unwrap().push(v);
+                                    $(
+                                        // Even values append without the
+                                        // tail swing; the odd enqueue
+                                        // after each one finds the tail
+                                        // lagging and demotes.
+                                        if $lag_tail && tid == $kill_victim && i % 2 == 0 {
+                                            h.fast_append_unswung(v);
+                                            continue;
+                                        }
+                                    )?
                                     h.enqueue(v);
                                 }
                             }
@@ -279,16 +294,17 @@ fn hp_enqueuer_killed_at_swing_tail_loses_nothing() {
 /// survivors must be completely unaffected.
 #[test]
 fn epoch_enqueuer_killed_mid_demotion() {
-    // The demote site only fires on genuine fast-path interference; on a
-    // single-core box the debug-scaled op count can see it fewer than
-    // the plan's skip+1 times, so the kill never lands. Pin the count at
-    // the unscaled 3k ops (validated to fire plenty in both profiles).
+    // Organic interference alone can reach the demote site fewer times
+    // than the plan's hit index, so the kill would never land: the
+    // victim leaves a lagging tail before each enqueue, and the budget-1
+    // fast attempt spends its one iteration swinging it and demotes.
     kill_torture_round!(
         WfQueue::<u64>::with_config(4, Config::fast().with_fast_path(1)),
         "kp.fast.demote",
         1, // tid 1 is a producer
         1, // its rebranded-but-unpublished value may vanish
-        per = 3_000
+        per = 3_000,
+        lag_tail = true
     );
 }
 
@@ -297,13 +313,14 @@ fn epoch_enqueuer_killed_mid_demotion() {
 /// published), so beyond that one value the ledger must balance.
 #[test]
 fn hp_enqueuer_killed_mid_demotion() {
-    // Unscaled op count for the same reason as the epoch variant above.
+    // A lagging tail before each enqueue, as in the epoch variant above.
     kill_torture_round!(
         WfQueueHp::<u64>::with_config(4, Config::fast().with_fast_path(1)),
         "kp_hp.fast.demote",
         1,
         1,
-        per = 3_000
+        per = 3_000,
+        lag_tail = true
     );
 }
 
