@@ -5,10 +5,10 @@
 //! names must exist in the model's step vocabulary (`STEP_NAMES`). The
 //! reverse direction is pinned too: the three linearization-relevant
 //! step families of the paper — the append CAS, the `deqTid` lock CAS,
-//! and the empty observation — must each be claimed by some site in
-//! *both* queue variants' files, so deleting a manifest entry (or
-//! retagging it away from `linearization`) fails here even though the
-//! audit binary itself would still pass.
+//! and the empty observation — must each be claimed by some site in the
+//! queue core, which both reclamation backends share, so deleting a
+//! manifest entry (or retagging it away from `linearization`) fails
+//! here even though the audit binary itself would still pass.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -55,12 +55,13 @@ fn every_linearization_site_names_known_model_steps() {
 #[test]
 fn paper_linearization_steps_are_claimed_in_both_variants() {
     let m = manifest();
-    // The paper's linearization structure, per variant: enqueue
-    // linearizes at the append CAS (Append), a successful dequeue at
-    // the deqTid lock CAS (Lock), and an empty dequeue at the empty
-    // observation acknowledged through the descriptor transition
-    // (Stage0Empty).
-    for variant in ["crates/kp-queue/src/queue.rs", "crates/kp-queue/src/hp/queue.rs"] {
+    // The paper's linearization structure: enqueue linearizes at the
+    // append CAS (Append), a successful dequeue at the deqTid lock CAS
+    // (Lock), and an empty dequeue at the empty observation
+    // acknowledged through the descriptor transition (Stage0Empty).
+    // Both variants run the one core in queue.rs (epoch and hazard
+    // pointers are its reclamation backends), so its sites serve both.
+    for variant in ["crates/kp-queue/src/queue.rs"] {
         let claimed: BTreeSet<&str> = m
             .sites
             .iter()
@@ -71,7 +72,7 @@ fn paper_linearization_steps_are_claimed_in_both_variants() {
             .collect();
         // The fast path reuses the same three linearization points
         // without a descriptor (DESIGN.md §12); each must be claimed by
-        // a site in both variants too.
+        // a core site too.
         for required in ["Append", "Lock", "Stage0Empty", "FastAppend", "FastLock", "FastEmpty"] {
             assert!(
                 claimed.contains(required),

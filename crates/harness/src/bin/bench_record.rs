@@ -8,9 +8,8 @@
 //!
 //! Four grids:
 //! 1. the PR2/PR3 slow-path grid — {epoch, HP} × {base, opt(1+2)} ×
-//!    {reuse, alloc} × {pairs, 50-50} × a small thread sweep — kept
-//!    verbatim so slow-path drift vs the previous baseline is a
-//!    row-by-row diff;
+//!    {pairs, 50-50} × a small thread sweep — so slow-path drift vs the
+//!    previous baseline is a row-by-row diff;
 //! 2. the PR4 fast-path ablation — each fast variant against its
 //!    slow-path-only base (same memory management), with the merged
 //!    per-handle fallback counters recorded per cell;
@@ -86,7 +85,6 @@ struct Row {
     /// Fixed element capacity; `None` (JSON `null`) for unbounded engines.
     capacity: Option<usize>,
     config: &'static str,
-    reuse: bool,
     workload: &'static str,
     threads: usize,
     median_secs: f64,
@@ -242,19 +240,14 @@ fn main() {
         harness::sched::warn_if_oversubscribed(threads, cores);
     }
 
-    let configs: [(&str, bool, Config); 4] = [
-        ("base", true, Config::base()),
-        ("opt_both", true, Config::opt_both()),
-        ("base", false, Config::base().with_reuse(false)),
-        ("opt_both", false, Config::opt_both().with_reuse(false)),
-    ];
+    let configs: [(&str, Config); 2] = [("base", Config::base()), ("opt_both", Config::opt_both())];
 
     let mut rows: Vec<Row> = Vec::new();
 
     // Grid 1: the slow-path grid, unchanged from the PR2/PR3 baseline
     // so drift is a row-by-row diff against BENCH_PR3.json.
     for &threads in &thread_counts {
-        for (config, reuse, cfg) in configs {
+        for (config, cfg) in configs {
             for wl in ["pairs", "fifty_fifty"] {
                 for queue in ["wf-epoch", "wf-hp"] {
                     let mut durs = Vec::with_capacity(reps);
@@ -294,16 +287,14 @@ fn main() {
                         allocs.push(a);
                     }
                     rows.push(finish_row(
-                        queue, config, reuse, wl, threads, iters, cores, durs, allocs, None,
-                        None,
+                        queue, config, wl, threads, iters, cores, durs, allocs, None, None,
                     ));
                 }
             }
         }
     }
 
-    // Grid 2: the fast-path ablation cells (reuse=true throughout; the
-    // fast path is an execution-mode knob, not a memory-management one).
+    // Grid 2: the fast-path ablation cells.
     for &threads in &thread_counts {
         for wl in ["pairs", "fifty_fifty"] {
             for (fast, _base) in Variant::FAST_ABLATION {
@@ -332,7 +323,6 @@ fn main() {
                 rows.push(finish_row(
                     queue,
                     "fast",
-                    true,
                     wl,
                     threads,
                     iters,
@@ -346,7 +336,7 @@ fn main() {
         }
     }
 
-    // Grid 3: the reaper ablation — the grid-1 opt_both/reuse cells
+    // Grid 3: the reaper ablation — the grid-1 opt_both cells
     // with the reaper on and no faults injected, so the on/off ratio is
     // pure `reap_tick` overhead. Reap/quarantine counters recorded to
     // prove fault-free runs reap nothing.
@@ -407,7 +397,6 @@ fn main() {
                 rows.push(finish_row(
                     queue,
                     "opt_both+reap",
-                    true,
                     wl,
                     threads,
                     iters,
@@ -467,7 +456,6 @@ fn main() {
                     "wcq",
                     Some(cap),
                     "default",
-                    true,
                     wl,
                     threads,
                     iters,
@@ -781,37 +769,8 @@ fn main() {
          {chan_n} engines: {chan_geomean:.4}x (acceptance >= 1.3)"
     );
 
-    // Headline comparison from PR2: on pairs, reuse must not be slower
-    // than the alloc baseline (same queue, config, thread count).
-    let mut reuse_cmps = String::new();
-    for r in rows.iter().filter(|r| r.reuse && r.workload == "pairs" && r.fast.is_none()) {
-        if let Some(b) = rows.iter().find(|b| {
-            !b.reuse
-                && b.workload == "pairs"
-                && b.queue == r.queue
-                && b.config == r.config
-                && b.threads == r.threads
-        }) {
-            let speedup = r.mops_per_sec / b.mops_per_sec;
-            let _ = write!(
-                reuse_cmps,
-                "{}    {{\"queue\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
-                 \"reuse_over_alloc_speedup\": {:.4}}}",
-                if reuse_cmps.is_empty() { "" } else { ",\n" },
-                r.queue,
-                r.config,
-                r.threads,
-                speedup
-            );
-            println!(
-                "pairs speedup reuse/alloc {} {} t={}: {:.3}x",
-                r.queue, r.config, r.threads, speedup
-            );
-        }
-    }
-
     // Headline comparison for this PR: each fast cell against its
-    // slow-path-only base (same memory management, opt_both, reuse).
+    // slow-path-only base (same memory management, opt_both).
     let mut fast_cmps = String::new();
     let mut log_sum = 0.0f64;
     let mut n_cmps = 0usize;
@@ -831,7 +790,6 @@ fn main() {
                     .find(|r| {
                         r.queue == base_name
                             && r.config == "opt_both"
-                            && r.reuse
                             && r.workload == wl
                             && r.threads == threads
                     })
@@ -880,7 +838,6 @@ fn main() {
             .find(|b| {
                 b.queue == r.queue
                     && b.config == "opt_both"
-                    && b.reuse
                     && b.workload == r.workload
                     && b.threads == r.threads
             })
@@ -975,7 +932,7 @@ fn main() {
     }
 
     // Headline comparison for this PR: the three-way shootout — each
-    // wCQ cell against the KP slow path (wf-epoch opt_both, reuse) and
+    // wCQ cell against the KP slow path (wf-epoch opt_both) and
     // the KP fast path (wf-fast) on the identical workload cell. The
     // acceptance geomean counts unbounded-wcq-vs-KP-slow at ≥4 threads.
     let mut shootout = String::new();
@@ -987,7 +944,6 @@ fn main() {
             .find(|b| {
                 b.queue == "wf-epoch"
                     && b.config == "opt_both"
-                    && b.reuse
                     && b.workload == r.workload
                     && b.threads == r.threads
             })
@@ -1138,7 +1094,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"queue\": \"{}\", \"engine\": \"{}\", \"capacity\": {}, \
-             \"config\": \"{}\", \"reuse\": {}, \
+             \"config\": \"{}\", \
              \"workload\": \"{}\", \"threads\": {}, \"oversubscribed\": {}, \
              \"median_secs\": {:.6}, \"mops_per_sec\": {:.4}, \
              \"allocs_per_op\": {:.6}{}{}{}}}{}",
@@ -1146,7 +1102,6 @@ fn main() {
             r.engine,
             capacity,
             r.config,
-            r.reuse,
             r.workload,
             r.threads,
             r.oversubscribed,
@@ -1159,9 +1114,7 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
-    json.push_str("  ],\n  \"pairs_reuse_vs_alloc\": [\n");
-    json.push_str(&reuse_cmps);
-    json.push_str("\n  ],\n  \"fast_vs_base\": [\n");
+    json.push_str("  ],\n  \"fast_vs_base\": [\n");
     json.push_str(&fast_cmps);
     json.push_str("\n  ],\n");
     let _ = writeln!(json, "  \"fast_vs_base_geomean\": {geomean:.4},");
@@ -1273,7 +1226,6 @@ fn main() {
 fn finish_row(
     queue: &'static str,
     config: &'static str,
-    reuse: bool,
     wl: &'static str,
     threads: usize,
     iters: usize,
@@ -1288,7 +1240,6 @@ fn finish_row(
         engine_of(queue),
         None,
         config,
-        reuse,
         wl,
         threads,
         iters,
@@ -1307,7 +1258,6 @@ fn finish_row_full(
     engine: &'static str,
     capacity: Option<usize>,
     config: &'static str,
-    reuse: bool,
     wl: &'static str,
     threads: usize,
     iters: usize,
@@ -1328,7 +1278,6 @@ fn finish_row_full(
         engine,
         capacity,
         config,
-        reuse,
         workload: wl,
         threads,
         median_secs: med.as_secs_f64(),
@@ -1340,10 +1289,9 @@ fn finish_row_full(
         threshold_resets,
     };
     println!(
-        "{:10} {:8} reuse={:5} {:11} t={}{}: {:>8.3} Mops/s, {:.4} allocs/op{}",
+        "{:10} {:8} {:11} t={}{}: {:>8.3} Mops/s, {:.4} allocs/op{}",
         row.queue,
         row.config,
-        row.reuse,
         row.workload,
         row.threads,
         if row.oversubscribed { " (oversub)" } else { "" },

@@ -9,8 +9,10 @@
 //! nothing and the op-scope functions are empty `#[inline(always)]`
 //! bodies, so the production queue pays zero cost.
 //!
-//! Site names (`kp.*` for the epoch variant, `kp_hp.*` for the
-//! hazard-pointer variant):
+//! The core is written once for both reclamation backends, so each
+//! backend supplies the names through its [`Sites`] table: every site
+//! below exists as `kp.<site>` on the epoch engine (`WfQueue`) and as
+//! `kp_hp.<site>` on the hazard-pointer engine (`WfQueueHp`).
 //!
 //! | site | window it opens |
 //! |---|---|
@@ -31,6 +33,56 @@
 //! | `reap.adopt` | reap rights won (`begin_reap`/`takeover_reap` done), before the victim's descriptor is read for adoption |
 //! | `reap.retire` | victim's op adopted and tail/head driven, before the `try_retire` election CAS |
 //! | `reap.finish` | destructive steps done (or election lost), before `finish_reap` returns the lease — a kill here strands the slot in `Reaping` for the takeover path |
+
+/// One backend's injection-site names (see the table above); built by
+/// [`sites!`] so both tables share one list of suffixes.
+#[cfg_attr(not(feature = "chaos"), allow(dead_code))]
+pub struct Sites {
+    pub(crate) publish: &'static str,
+    pub(crate) append: &'static str,
+    pub(crate) clear_pending_enq: &'static str,
+    pub(crate) swing_tail: &'static str,
+    pub(crate) bind_sentinel: &'static str,
+    pub(crate) lock_sentinel: &'static str,
+    pub(crate) clear_pending_deq: &'static str,
+    pub(crate) clear_pending_deq_empty: &'static str,
+    pub(crate) swing_head: &'static str,
+    pub(crate) fast_enq: &'static str,
+    pub(crate) fast_swing_tail: &'static str,
+    pub(crate) fast_deq: &'static str,
+    pub(crate) fast_swing_head: &'static str,
+    pub(crate) fast_demote: &'static str,
+    pub(crate) reap_adopt: &'static str,
+    pub(crate) reap_retire: &'static str,
+    pub(crate) reap_finish: &'static str,
+}
+
+/// The [`Sites`] table for one name prefix.
+macro_rules! sites {
+    ($prefix:literal) => {
+        $crate::chaos_hooks::Sites {
+            publish: concat!($prefix, ".publish"),
+            append: concat!($prefix, ".append"),
+            clear_pending_enq: concat!($prefix, ".clear_pending.enq"),
+            swing_tail: concat!($prefix, ".swing_tail"),
+            bind_sentinel: concat!($prefix, ".bind_sentinel"),
+            lock_sentinel: concat!($prefix, ".lock_sentinel"),
+            clear_pending_deq: concat!($prefix, ".clear_pending.deq"),
+            clear_pending_deq_empty: concat!($prefix, ".clear_pending.deq_empty"),
+            swing_head: concat!($prefix, ".swing_head"),
+            fast_enq: concat!($prefix, ".fast.enq"),
+            fast_swing_tail: concat!($prefix, ".fast.swing_tail"),
+            fast_deq: concat!($prefix, ".fast.deq"),
+            fast_swing_head: concat!($prefix, ".fast.swing_head"),
+            fast_demote: concat!($prefix, ".fast.demote"),
+            reap_adopt: concat!($prefix, ".reap.adopt"),
+            reap_retire: concat!($prefix, ".reap.retire"),
+            reap_finish: concat!($prefix, ".reap.finish"),
+        }
+    };
+}
+
+pub(crate) use sites;
 
 #[cfg(feature = "chaos")]
 macro_rules! inject {

@@ -62,7 +62,8 @@ pub const DEFAULT_REAP_PATIENCE: usize = 1024;
 /// yet short enough that an abandoned slot is still reclaimed promptly.
 pub const DEFAULT_REAP_MIN_SILENCE_MS: u64 = 1000;
 
-/// Variant selection for a [`WfQueue`](crate::WfQueue).
+/// Variant selection for a [`WfQueue`](crate::WfQueue) or a
+/// [`WfQueueHp`](crate::WfQueueHp).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Helping policy (optimization 1 axis).
@@ -72,13 +73,6 @@ pub struct Config {
     /// §3.3 enhancement #3: read the `pending` flag before attempting
     /// the (costly) descriptor CAS in the two `help_finish_*` methods.
     pub validate_before_cas: bool,
-    /// §3.3 "reuse the descriptor objects", applied at the node level:
-    /// recycle unlinked sentinels through per-handle caches instead of
-    /// freeing and reallocating them. On by default; turning it off
-    /// restores the alloc-per-node behaviour (the ablation baseline —
-    /// descriptors are reused either way, as they are no longer heap
-    /// objects at all).
-    pub reuse_nodes: bool,
     /// Fast-path/slow-path execution (Kogan–Petrank 2012 methodology):
     /// each operation first runs up to this many iterations of the raw
     /// Michael–Scott CAS loop — no descriptor publish, no phase, no
@@ -128,7 +122,6 @@ impl Config {
             help: HelpPolicy::ScanAll,
             phase: PhasePolicy::MaxScan,
             validate_before_cas: false,
-            reuse_nodes: true,
             max_fast_failures: 0,
             starvation_patience: DEFAULT_STARVATION_PATIENCE,
             reap_patience: 0,
@@ -142,7 +135,6 @@ impl Config {
             help: HelpPolicy::Cyclic { chunk: 1 },
             phase: PhasePolicy::MaxScan,
             validate_before_cas: false,
-            reuse_nodes: true,
             max_fast_failures: 0,
             starvation_patience: DEFAULT_STARVATION_PATIENCE,
             reap_patience: 0,
@@ -156,7 +148,6 @@ impl Config {
             help: HelpPolicy::ScanAll,
             phase: PhasePolicy::AtomicCounter,
             validate_before_cas: false,
-            reuse_nodes: true,
             max_fast_failures: 0,
             starvation_patience: DEFAULT_STARVATION_PATIENCE,
             reap_patience: 0,
@@ -170,7 +161,6 @@ impl Config {
             help: HelpPolicy::Cyclic { chunk: 1 },
             phase: PhasePolicy::AtomicCounter,
             validate_before_cas: false,
-            reuse_nodes: true,
             max_fast_failures: 0,
             starvation_patience: DEFAULT_STARVATION_PATIENCE,
             reap_patience: 0,
@@ -181,13 +171,6 @@ impl Config {
     /// Enables the validation-before-CAS enhancement (§3.3 #3).
     pub const fn with_validation(mut self) -> Self {
         self.validate_before_cas = true;
-        self
-    }
-
-    /// Enables or disables node recycling (ablation knob; on by
-    /// default).
-    pub const fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_nodes = reuse;
         self
     }
 
@@ -295,17 +278,6 @@ mod tests {
         assert_eq!(c.help, HelpPolicy::RandomChunk { chunk: 2 });
         assert_eq!(c.phase, PhasePolicy::AtomicCounter);
         assert_eq!(c.label(), "opt WF (rand+2)");
-    }
-
-    #[test]
-    fn reuse_defaults_on_and_toggles() {
-        assert!(Config::default().reuse_nodes);
-        assert!(!Config::opt_both().with_reuse(false).reuse_nodes);
-        assert_eq!(
-            Config::opt_both().with_reuse(false).label(),
-            "opt WF (1+2)",
-            "reuse is orthogonal to the paper-series label"
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! address can legitimately reappear in a later operation's word).
 //!
 //! Protocol invariants the packing relies on (established in
-//! `crate::queue` and `crate::hp::queue`):
+//! `crate::queue`):
 //!
 //! 1. **Completed words are final.** Helpers only CAS words whose
 //!    `pending` bit is set; a "transition" out of a completed word is
@@ -99,11 +99,10 @@ impl CtrlWord {
     /// The packed node address:
     ///
     /// * enqueue: the node carrying the value to insert;
-    /// * dequeue (epoch variant): the sentinel preceding the value to
-    ///   return (stage 0 of `help_deq`), or null before stage 0 / for
-    ///   an empty-queue result;
-    /// * dequeue (HP variant, completed): the *value node* handed to
-    ///   the owner (see `crate::hp`).
+    /// * dequeue, pending: the sentinel preceding the value to return
+    ///   (stage 0 of `help_deq`), or null before stage 0;
+    /// * dequeue, completed: the *value node* handed to the owner (step
+    ///   2 of `help_finish_deq`), or null for an empty-queue result.
     pub(crate) fn node_addr(self) -> usize {
         ((self.0 >> ADDR_SHIFT) << 6) as usize
     }

@@ -1,38 +1,41 @@
 //! The per-thread handle: operation entry points (paper Figure 4 `enq`,
-//! Figure 6 `deq`) and the §3.3 helping-policy dispatch.
+//! Figure 6 `deq`) and the §3.3 helping-policy dispatch, written once
+//! for both reclamation backends.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 
-use crossbeam_epoch::{self as epoch, Guard};
+use kp_sync::atomic::Ordering;
+
 use idpool::{IdGuard, SlotState};
 use queue_traits::{FastPathStats, QueueHandle};
 
 use crate::chaos_hooks::{self, inject};
 use crate::config::HelpPolicy;
-use crate::node::{Node, FAST_ENQUEUER, NO_DEQUEUER};
-use crate::queue::{FastDeq, WfQueue};
+use crate::node::{Node, FAST_ENQUEUER};
+use crate::queue::{FastDeq, KpQueue};
 use crate::reap::{Observation, ReapScan};
-use crate::recycle::RetireCache;
+use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::Stats;
 
-/// Values a batch operation completes under one epoch pin before it
-/// renews the pin (see [`WfHandle::enqueue_batch`]). A repin is one
+/// Values a batch operation completes under one protection before it
+/// renews it (see [`KpHandle::enqueue_batch`]). An epoch repin is one
 /// store and one load of the epoch word, small next to 32 operations.
 const REPIN_EVERY: usize = 32;
 
-/// A registered thread's handle to a [`WfQueue`].
+/// A registered thread's handle to a [`KpQueue`] — used as
+/// [`WfHandle`](crate::WfHandle) or [`WfHpHandle`](crate::WfHpHandle).
 ///
 /// Owns a virtual thread ID (`TID` in the paper's listings) for the
 /// handle's lifetime; dropping the handle returns the ID to the pool.
 /// Operations take `&mut self` because a handle embodies *one* thread of
 /// the algorithm — the queue itself may be shared freely.
 ///
-/// The handle also owns the thread's node-reuse cache (§3.3 "reuse the
-/// descriptor objects" taken to the node level): sentinels unlinked by
-/// this thread's head swings are recycled into its future enqueues — or,
-/// through the queue's shared pool, into any handle's — once the epoch
-/// rule proves no reader can still hold them, making the steady-state
+/// The handle also owns its backend state (an epoch retire cache, or a
+/// hazard record) and its node source (§3.3 "reuse the descriptor
+/// objects" taken to the node level): enqueues take recycled nodes —
+/// the handle's own mature retirements first under epochs, then a chain
+/// stolen whole from the queue's shared pool — making the steady-state
 /// operation path allocation-free.
 ///
 /// Dropping a handle whose operation is still pending (a panic unwound
@@ -43,15 +46,15 @@ const REPIN_EVERY: usize = 32;
 /// could wedge every other thread: a helper may append the orphaned
 /// node, after which `help_finish_enq`'s descriptor identity check
 /// (L91) can never pass and the tail never advances.
-pub struct WfHandle<'q, T: Send> {
-    queue: &'q WfQueue<T>,
+pub struct KpHandle<'q, T: Send, R: Reclaim> {
+    queue: &'q KpQueue<T, R>,
     id: IdGuard<'q>,
+    /// The backend's per-handle state.
+    pub(crate) local: R::HandleState<'q, T>,
     /// Next state-array index to examine under `HelpPolicy::Cyclic`.
     cursor: usize,
     /// xorshift64* state for `HelpPolicy::RandomChunk`.
     rng: u64,
-    /// Retired sentinels awaiting reuse (see `crate::recycle`).
-    cache: RetireCache<T>,
     /// Fast-path CAS-failure budget; copied from the queue config,
     /// overridable per handle (see [`set_fast_path`]). `0` = slow only.
     ///
@@ -74,13 +77,9 @@ pub struct WfHandle<'q, T: Send> {
     inflight: *mut Node<T>,
     /// True from a slow dequeue's publish until its epilogue claimed
     /// the result; lets recovery distinguish a completed-but-unclaimed
-    /// word (whose value must still be taken and discarded) from an old
-    /// word whose sentinel may be long freed.
+    /// word (whose value must still be taken and its node consumed)
+    /// from an old word whose value node may long be recycled.
     deq_in_flight: bool,
-    /// Cached `crossbeam_epoch::participant_token()` of the OS thread
-    /// that last ran an operation; mirrored into
-    /// `WfQueue::epoch_tokens[tid]` on change (reaper enabled only).
-    epoch_token: usize,
     /// Reaper scan state (cursor + freeze detector, DESIGN.md §13).
     reap: ReapScan,
 }
@@ -88,27 +87,31 @@ pub struct WfHandle<'q, T: Send> {
 // SAFETY: the only non-`Send` field is `inflight`, a node that is by
 // invariant *private* to this handle whenever it is non-null (it is
 // cleared the instant the node is published); moving the handle moves
-// that exclusive ownership with it. Everything else is `Send`.
-unsafe impl<T: Send> Send for WfHandle<'_, T> {}
+// that exclusive ownership with it. The backend state is `Send` by the
+// `Reclaim` bound, and everything else is `Send`.
+unsafe impl<T: Send, R: Reclaim> Send for KpHandle<'_, T, R> {}
 
-impl<'q, T: Send> WfHandle<'q, T> {
-    pub(crate) fn new(queue: &'q WfQueue<T>, id: IdGuard<'q>) -> Self {
+impl<'q, T: Send, R: Reclaim> KpHandle<'q, T, R> {
+    pub(crate) fn new(
+        queue: &'q KpQueue<T, R>,
+        id: IdGuard<'q>,
+        local: R::HandleState<'q, T>,
+    ) -> Self {
         let tid = id.id();
         let cells = &queue.stats[tid];
-        WfHandle {
+        KpHandle {
             queue,
             id,
+            local,
             cursor: (tid + 1) % queue.max_threads(),
             // Any nonzero seed works; derive from the slot for variety.
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((tid as u64 + 1) << 17),
-            cache: RetireCache::new(queue.config().reuse_nodes),
-            max_fast_failures: queue.config().max_fast_failures,
+            max_fast_failures: queue.config.max_fast_failures,
             fast_streak: 0,
             cells,
             fast_base: cells.fast_path_since(&FastPathStats::default()),
             inflight: ptr::null_mut(),
             deq_in_flight: false,
-            epoch_token: 0,
             reap: ReapScan::new(
                 (tid + 1) % queue.max_threads(),
                 queue.config.reap_min_silence_ms,
@@ -125,7 +128,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// This handle's fast/slow execution counters, read from the same
-    /// per-tid cells that [`WfQueue::stats`] sums.
+    /// per-tid cells that [`KpQueue::stats`] sums.
     pub fn fast_path_stats(&self) -> FastPathStats {
         self.cells.fast_path_since(&self.fast_base)
     }
@@ -136,7 +139,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// The queue this handle operates on.
-    pub fn queue(&self) -> &'q WfQueue<T> {
+    pub fn queue(&self) -> &'q KpQueue<T, R> {
         self.queue
     }
 
@@ -151,42 +154,37 @@ impl<'q, T: Send> WfHandle<'q, T> {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// A node ready to carry `value`: recycled from this handle's cache
-    /// or the shared pool when a mature one exists, freshly allocated
-    /// otherwise.
+    /// A node ready to carry `value`: recycled from the backend's node
+    /// source when one is available, freshly allocated otherwise.
     fn alloc_node(&mut self, value: T, tid: usize) -> *mut Node<T> {
-        if let Some(node) = self.cache.pop(&self.queue.pool) {
+        if let Some(node) = R::pop_node(&mut self.local, &self.queue.pool) {
             self.cells.node_reuses.bump();
-            // SAFETY: maturity (`RetireCache::pop`) makes us the unique
-            // owner — no pin that could still observe the node remains.
-            // The publish that follows in the caller is a SeqCst store,
-            // releasing these plain/Relaxed writes to any helper that
-            // reads the node through the descriptor.
-            unsafe {
-                (*node).next.store(epoch::Shared::null(), kp_sync::atomic::Ordering::Relaxed);
-                (*node).deq_tid.store(NO_DEQUEUER, kp_sync::atomic::Ordering::Relaxed);
-                (*node).enq_tid = tid;
-                *(*node).value.get() = Some(value);
-            }
+            // SAFETY: the node source hands out only nodes no other
+            // thread can reach (matured, or released by the token gate),
+            // and the caller publishes the node with a SeqCst store/CAS.
+            unsafe { Node::reuse(node, value, tid) };
             node
         } else {
             self.cells.node_allocs.bump();
-            Box::into_raw(Box::new(Node::new(Some(value), tid)))
+            Node::boxed(Some(value), tid)
         }
     }
 
     /// Applies the configured helping policy for an operation running at
     /// `phase`, then drives the handle's *own* operation to completion.
-    fn run_help(&mut self, phase: i64, enqueue: bool, guard: &Guard) {
+    fn run_help(&mut self, phase: i64, enqueue: bool, guard: &R::Guard) {
         let q = self.queue;
         let tid = self.id.id();
         let n = q.max_threads();
         match q.config.help {
             HelpPolicy::ScanAll => {
-                // Base algorithm: the L64/L101 `help(phase)` call. The
-                // scan includes our own entry, so the operation is
-                // complete when it returns.
-                q.help_all(phase, tid, guard, &mut self.cache);
+                // Base algorithm: the L64/L101 `help(phase)` call
+                // (L36–47), helping every pending operation no younger
+                // than ours. The scan includes our own entry, so the
+                // operation is complete when it returns.
+                for i in 0..n {
+                    q.help_index(&mut self.local, guard, i, phase, tid);
+                }
             }
             HelpPolicy::Cyclic { chunk } => {
                 // §3.3 optimization 1: examine `chunk` entries starting
@@ -194,7 +192,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 for j in 0..chunk.min(n) {
                     let i = (self.cursor + j) % n;
                     if i != tid {
-                        q.help_index(i, phase, tid, guard, &mut self.cache);
+                        q.help_index(&mut self.local, guard, i, phase, tid);
                     }
                 }
                 self.cursor = (self.cursor + chunk) % n;
@@ -206,7 +204,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 for j in 0..chunk.min(n) {
                     let i = (start + j) % n;
                     if i != tid {
-                        q.help_index(i, phase, tid, guard, &mut self.cache);
+                        q.help_index(&mut self.local, guard, i, phase, tid);
                     }
                 }
             }
@@ -215,9 +213,9 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // visited; drive our own operation to completion. (Redundant but
         // harmless under ScanAll: `is_still_pending` fails immediately.)
         if enqueue {
-            q.help_enq(tid, phase, tid, guard);
+            q.help_enq(&self.local, tid, phase, tid);
         } else {
-            q.help_deq(tid, phase, tid, guard, &mut self.cache);
+            q.help_deq(&mut self.local, guard, tid, phase, tid);
         }
     }
 
@@ -244,7 +242,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // SeqCst: this read gates a helping obligation, exactly like
         // `is_still_pending` — an Acquire-stale idle word would let a
         // fast handle overlook a peer pending in the SC order.
-        let (w, _) = q.state[self.cursor].view(kp_sync::atomic::Ordering::SeqCst);
+        let (w, _) = q.state[self.cursor].view(Ordering::SeqCst);
         if w.pending() {
             true
         } else {
@@ -253,7 +251,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         }
     }
 
-    /// Operation prologue shared by `enqueue` and `dequeue`: the
+    /// Operation prologue shared by every entry point: the
     /// reaper-protocol obligations of a live owner (DESIGN.md §13).
     /// One predictable branch when the reaper is disabled.
     ///
@@ -277,11 +275,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         );
         let tid = self.id.id();
         q.state[tid].bump_beat();
-        let token = epoch::participant_token();
-        if token != self.epoch_token {
-            self.epoch_token = token;
-            q.epoch_tokens[tid].store(token, kp_sync::atomic::Ordering::SeqCst);
-        }
+        R::announce(&mut self.local, &q.tokens[tid]);
     }
 
     /// Signals liveness without performing an operation. A handle that
@@ -310,30 +304,51 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// descriptor and the handle reusable before the panic resumes.
     pub fn enqueue(&mut self, value: T) {
         chaos_hooks::op_begin();
-        // Prologue strictly before pin: the reaper's publisher scan
-        // (`WfQueue::reap_slot`) relies on every pinned handle having
-        // its epoch token visible in `epoch_tokens` first, so a live
-        // pin on a thread shared with a reaped handle is never
-        // quarantined (DESIGN.md §13.4).
+        self.guarded(|h, guard| h.enqueue_one(value, guard));
+        // Not reached when a panic escaped: a killed operation never
+        // completes, so its partial step count must not be reported.
+        chaos_hooks::op_end();
+    }
+
+    /// Runs `body` as one guarded entry: the reaper prologue, the
+    /// protection, `body` and the reap tick under an unwind guard.
+    ///
+    /// The prologue runs strictly before the pin: the epoch reaper's
+    /// publisher scan relies on every pinned handle having its epoch
+    /// token visible first, so a live pin on a thread shared with a
+    /// reaped handle is never quarantined (DESIGN.md §13.4). The
+    /// protection is taken before any descriptor is published and held
+    /// until the result is read — under epochs every node the operation
+    /// can reference is retired (if at all) during this pin — and
+    /// *outside* the unwind guard, because recovery walks those very
+    /// nodes and must run under the original pin. If a panic escapes,
+    /// `recover_after_unwind` completes the published operation before
+    /// the panic resumes.
+    #[inline]
+    fn guarded<U>(&mut self, body: impl FnOnce(&mut Self, &mut R::Guard) -> U) -> U {
         self.op_prologue();
-        let guard = epoch::pin();
+        let mut guard = R::pin();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if self.max_fast_failures > 0 {
-                self.enqueue_fast_first(value, &guard);
-            } else {
-                self.slow_enqueue(value, &guard);
-            }
+            let out = body(self, &mut guard);
             self.reap_tick(&guard);
+            out
         }));
         match result {
-            Ok(()) => chaos_hooks::op_end(),
-            // A killed operation never completes: recover, then let the
-            // panic continue (op_end deliberately not called — the
-            // partial step count must not be reported).
+            Ok(out) => out,
             Err(payload) => {
                 self.recover_after_unwind(&guard);
-                resume_unwind(payload);
+                resume_unwind(payload)
             }
+        }
+    }
+
+    /// One enqueue under the caller's protection: the bounded fast path
+    /// first when enabled.
+    fn enqueue_one(&mut self, value: T, guard: &R::Guard) {
+        if self.max_fast_failures > 0 {
+            self.enqueue_fast_first(value, guard);
+        } else {
+            self.slow_enqueue(value, guard);
         }
     }
 
@@ -342,7 +357,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// keeps the pre-fast-path code shape of `enqueue` — inlining this
     /// into the entry point measurably perturbed slow-only codegen.
     #[inline(never)]
-    fn enqueue_fast_first(&mut self, value: T, guard: &Guard) {
+    fn enqueue_fast_first(&mut self, value: T, guard: &R::Guard) {
         let q = self.queue;
         let tid = self.id.id();
         if !self.starvation_peek() {
@@ -353,7 +368,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
             // unwind escapes after the publishing CAS.
             self.inflight = node;
             let budget = self.max_fast_failures;
-            if q.try_fast_enqueue(node, budget, &mut self.inflight, tid, guard) {
+            if q.try_fast_enqueue(&self.local, node, budget, &mut self.inflight, tid) {
                 self.fast_streak += 1;
                 self.cells.fast_completions.bump();
                 self.cells.enqueues.bump();
@@ -369,7 +384,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
             // read `enq_tid` after the descriptor publish below,
             // whose SeqCst store releases this write.
             unsafe { (*node).enq_tid = tid };
-            inject!("kp.fast.demote");
+            inject!(R::SITES.fast_demote);
             self.cells.slow_ops.bump();
             let phase = q.next_phase(tid); // L62
             self.slow_enqueue_publish(phase, node, guard);
@@ -383,7 +398,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
 
     /// The slow path proper: Figure 4 L61–66 with a freshly prepared
     /// node.
-    fn slow_enqueue(&mut self, value: T, guard: &Guard) {
+    fn slow_enqueue(&mut self, value: T, guard: &R::Guard) {
         let q = self.queue;
         let tid = self.id.id();
         self.cells.slow_ops.bump();
@@ -391,7 +406,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // The injection point sits before the node is prepared so a
         // simulated crash here leaks nothing: the value is still a plain
         // local, dropped by the unwind.
-        inject!("kp.publish");
+        inject!(R::SITES.publish);
         let node = self.alloc_node(value, tid);
         self.slow_enqueue_publish(phase, node, guard);
     }
@@ -399,7 +414,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// L63–65: publish the prepared node's descriptor and drive the
     /// enqueue to completion (shared by the slow path proper and the
     /// fast-path demotion).
-    fn slow_enqueue_publish(&mut self, phase: i64, node: *mut Node<T>, guard: &Guard) {
+    fn slow_enqueue_publish(&mut self, phase: i64, node: *mut Node<T>, guard: &R::Guard) {
         let q = self.queue;
         let tid = self.id.id();
         // L63: publish the operation descriptor — an in-place slot
@@ -409,7 +424,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
         // through the descriptor instead of reclaiming the node.
         self.inflight = ptr::null_mut();
         self.run_help(phase, true, guard); // L64
-        q.help_finish_enq(guard); // L65 (see the paper's L65 argument)
+        q.help_finish_enq(&self.local); // L65 (see the paper's L65 argument)
         self.cells.enqueues.bump();
     }
 
@@ -425,35 +440,19 @@ impl<'q, T: Send> WfHandle<'q, T> {
     ///
     /// [`enqueue`]: Self::enqueue
     pub fn dequeue(&mut self) -> Option<T> {
-        // The guard is held from before the descriptor is published
-        // until after the value is read: every node our descriptor can
-        // reference is retired (if at all) during this pin, so the reads
-        // below are safe — including against recycling, which obeys the
-        // same maturity rule as freeing. It is pinned *outside* the
-        // unwind guard for the same reason: recovery walks those very
-        // nodes and must run under the original pin.
         chaos_hooks::op_begin();
-        // Prologue before pin, as in `enqueue` (publisher-scan order).
-        self.op_prologue();
-        let guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let result = if self.max_fast_failures > 0 {
-                self.dequeue_fast_first(&guard)
-            } else {
-                self.slow_dequeue(&guard)
-            };
-            self.reap_tick(&guard);
-            result
-        }));
-        match result {
-            Ok(result) => {
-                chaos_hooks::op_end();
-                result
-            }
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
-            }
+        let value = self.guarded(|h, guard| h.dequeue_one(guard));
+        chaos_hooks::op_end();
+        value
+    }
+
+    /// One dequeue under the caller's protection: the bounded fast path
+    /// first when enabled.
+    fn dequeue_one(&mut self, guard: &R::Guard) -> Option<T> {
+        if self.max_fast_failures > 0 {
+            self.dequeue_fast_first(guard)
+        } else {
+            self.slow_dequeue(guard)
         }
     }
 
@@ -462,11 +461,11 @@ impl<'q, T: Send> WfHandle<'q, T> {
     ///
     /// [`enqueue_fast_first`]: Self::enqueue_fast_first
     #[inline(never)]
-    fn dequeue_fast_first(&mut self, guard: &Guard) -> Option<T> {
+    fn dequeue_fast_first(&mut self, guard: &R::Guard) -> Option<T> {
         let q = self.queue;
         if !self.starvation_peek() {
-            let tid = self.id.id();
-            match q.try_fast_dequeue(self.max_fast_failures, &mut self.cache, tid, guard) {
+            let (budget, tid) = (self.max_fast_failures, self.id.id());
+            match q.try_fast_dequeue(&mut self.local, guard, budget, tid) {
                 FastDeq::Done(result) => {
                     self.fast_streak += 1;
                     self.cells.fast_completions.bump();
@@ -476,7 +475,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 FastDeq::Exhausted => {
                     self.fast_streak = 0;
                     self.cells.fast_exhaustions.bump();
-                    inject!("kp.fast.demote");
+                    inject!(R::SITES.fast_demote);
                 }
             }
         } else {
@@ -486,27 +485,29 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// The slow path proper: Figure 6 L98–108.
-    fn slow_dequeue(&mut self, guard: &Guard) -> Option<T> {
+    fn slow_dequeue(&mut self, guard: &R::Guard) -> Option<T> {
         let q = self.queue;
         let tid = self.id.id();
         self.cells.slow_ops.bump();
         let phase = q.next_phase(tid); // L99
-        inject!("kp.publish");
+        inject!(R::SITES.publish);
         // L100: publish the operation descriptor (node = null).
         q.state[tid].publish(phase, 0, false);
         // From publish until the epilogue claims the result, an unwind
         // leaves a dequeue whose value must still be taken-and-dropped.
         self.deq_in_flight = true;
         self.run_help(phase, false, guard); // L101
-        q.help_finish_deq(guard, &mut self.cache, tid); // L102
+        q.help_finish_deq(&mut self.local, guard, tid); // L102
         self.cells.dequeues.bump();
         // L103–107: read the result through our completed descriptor.
-        let result = Self::read_deq_result(q, tid, guard);
+        let result = Self::read_deq_result(q, tid);
         self.deq_in_flight = false;
         result
     }
 
-    /// The L103–107 epilogue, shared with the test-hook path.
+    /// The L103–107 epilogue, node-hand-off edition: our completed word
+    /// names the *value node* (the sentinel that replaced the one our
+    /// dequeue locked), or null for an empty result.
     ///
     /// Ordering relaxation: Acquire, not SeqCst. This reads our *own*
     /// slot after our operation completed; the completing transition
@@ -514,8 +515,8 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// already observed) happens-before this load via the SeqCst loop
     /// exit, and coherence forbids reading anything older. No helping
     /// decision hangs off this read.
-    fn read_deq_result(q: &WfQueue<T>, tid: usize, guard: &Guard) -> Option<T> {
-        let (w, _) = q.state[tid].view(kp_sync::atomic::Ordering::Acquire);
+    fn read_deq_result(q: &KpQueue<T, R>, tid: usize) -> Option<T> {
+        let (w, _) = q.state[tid].view(Ordering::Acquire);
         debug_assert!(!w.pending(), "operation must be complete");
         debug_assert!(!w.enqueue(), "descriptor must be ours (dequeue)");
         if w.node_is_null() {
@@ -523,29 +524,27 @@ impl<'q, T: Send> WfHandle<'q, T> {
             return None; // L104–105: linearized on an empty queue
         }
         let node = w.node_ptr::<Node<T>>();
-        // L107: the value lives in the node *after* the sentinel our
-        // operation locked.
-        // SAFETY: `node` is the sentinel this dequeue locked; it was
-        // retired no earlier than the L150 head-CAS, which happened
-        // during our pin, so it is still live (and not recycled: reuse
-        // obeys the same maturity rule). Same for `next`.
-        let next = unsafe { &*node }.next.load(kp_sync::atomic::Ordering::Acquire, guard);
-        debug_assert!(!next.is_null(), "locked sentinel must have a successor");
-        // SAFETY (uniqueness of the take): `node.deq_tid == tid` was set
-        // by a successful CAS from −1 *in this generation of the node* —
-        // a recycled node is republished only after its reset, which no
-        // still-running dequeue can have locked (maturity again) — so
-        // exactly one operation ever locks `node`, and only that
-        // operation's owner executes this line for `node`. Each value is
-        // taken exactly once, with the enqueuer's write ordered before
-        // by the release/acquire chain through the list links.
-        let value = unsafe { (*next.deref().value.get()).take() };
+        // SAFETY (liveness): the backend keeps the value node allocated
+        // until we consume it — every caller runs under the protection
+        // taken before the operation was published, and the node is
+        // retired only after its step-2 hand-off (`Backend::consume`).
+        // SAFETY (uniqueness of the take): the step-2 CAS wrote `node`
+        // into exactly one completed dequeue word (version tags make
+        // racing step-2 writers idempotent, not duplicating) — the
+        // word of the operation whose lock made `node` the successor of
+        // the sentinel it removed — and only that word's owner executes
+        // this line for it. The enqueuer's value write happens-before
+        // via the SeqCst publish/append/step-2 chain and our Acquire
+        // view.
+        let value = unsafe { (*(*node).value.get()).take() };
+        // SAFETY: we are the unique owner of the completed word.
+        unsafe { R::consume(node, &q.pool) };
         // Checked in release builds on purpose: with the reaper in the
-        // picture, a claim-and-discard by `WfQueue::reap_slot` racing a
+        // picture, a claim-and-discard by `KpQueue::reap_slot` racing a
         // falsely-reaped (preempted, not dead) owner's epilogue would
         // make this second take() return None — that must surface as a
         // panic, never as UB. The branch is perfectly predicted.
-        Some(value.expect("value already taken: deq_tid uniqueness violated"))
+        Some(value.expect("value already taken: dequeue-owner uniqueness violated"))
     }
 
     /// One step of the abandoned-handle reaper (DESIGN.md §13), run
@@ -553,7 +552,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// completed operation when `Config::reap_patience > 0`.
     /// Examines exactly one peer slot; bounded work, so the enclosing
     /// operation stays wait-free.
-    fn reap_tick(&mut self, guard: &Guard) {
+    fn reap_tick(&mut self, guard: &R::Guard) {
         let q = self.queue;
         let patience = q.config.reap_patience;
         if patience == 0 || !self.reap.tick_due() {
@@ -580,7 +579,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 // re-reads authoritatively, so Acquire would do, but
                 // this is off the hot path and SeqCst keeps the audit
                 // uniform with the other descriptor reads.
-                let (ctrl, phase) = q.state[v].view(kp_sync::atomic::Ordering::SeqCst);
+                let (ctrl, phase) = q.state[v].view(Ordering::SeqCst);
                 let obs = Observation::Claimed {
                     generation: view.generation,
                     beat: q.state[v].load_beat(),
@@ -593,7 +592,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                     // reaper) moved the slot since our snapshot — then
                     // it was not frozen after all and we just move on.
                     if q.ids.begin_reap(v, view.generation) {
-                        q.reap_slot(v, view.generation, tid, guard, &mut self.cache);
+                        q.reap_slot(&mut self.local, guard, v, view.generation, tid);
                     }
                     self.reap.advance(n);
                 }
@@ -607,7 +606,7 @@ impl<'q, T: Send> WfHandle<'q, T> {
                 if self.reap.frozen(obs, patience) {
                     if let Some(next_generation) = q.ids.takeover_reap(v, view.generation) {
                         self.cells.reap_takeovers.bump();
-                        q.reap_slot(v, next_generation, tid, guard, &mut self.cache);
+                        q.reap_slot(&mut self.local, guard, v, next_generation, tid);
                     }
                     self.reap.advance(n);
                 }
@@ -616,15 +615,18 @@ impl<'q, T: Send> WfHandle<'q, T> {
     }
 
     /// Restores the handle's invariants after a panic escaped from
-    /// inside `enqueue`/`dequeue`. On return the descriptor is idle,
-    /// no node is leaked or double-owned, and the handle is usable.
+    /// inside an operation. On return the descriptor is idle, no node
+    /// is leaked or double-owned, no hazard slot is left set (a stale
+    /// hazard would exclude its node from reclamation forever), and the
+    /// handle is usable.
     ///
-    /// Must run under the pin the operation itself was running under
-    /// (`guard` is the one `enqueue`/`dequeue` created before entering
-    /// the unwind guard): completing a pending dequeue reads nodes
-    /// whose liveness argument is "retired during this pin".
+    /// Must run under the protection the operation itself was running
+    /// under (`guard` is the one the entry point created before
+    /// entering the unwind guard): completing a pending dequeue reads
+    /// nodes whose epoch liveness argument is "retired during this
+    /// pin".
     #[cold]
-    fn recover_after_unwind(&mut self, guard: &Guard) {
+    fn recover_after_unwind(&mut self, guard: &R::Guard) {
         let q = self.queue;
         let tid = self.id.id();
         // A still-private fast-path node: never published (the append
@@ -634,35 +636,29 @@ impl<'q, T: Send> WfHandle<'q, T> {
         let inflight = std::mem::replace(&mut self.inflight, ptr::null_mut());
         if !inflight.is_null() {
             // SAFETY: unique ownership per the tracker invariant above;
-            // the node came from `alloc_node` (a `Box` either way —
-            // recycled nodes were `Box`es originally) and its value
+            // every node is a `Box` (fresh or recycled) and its value
             // drops with it.
             drop(unsafe { Box::from_raw(inflight) });
         }
-        let (w, phase) = q.state[tid].view(kp_sync::atomic::Ordering::SeqCst);
+        let (w, phase) = q.state[tid].view(Ordering::SeqCst);
         if w.pending() {
             // Died mid-protocol with a published descriptor: finish the
-            // operation the same way `Drop` would.
-            if w.enqueue() {
-                q.help_enq(tid, phase, tid, guard);
-            } else {
-                q.help_deq(tid, phase, tid, guard, &mut self.cache);
-                q.help_finish_deq(guard, &mut self.cache, tid);
-                // The caller will never see the result; claim and
-                // discard it so conservation stays exact.
-                drop(Self::read_deq_result(q, tid, guard));
-            }
+            // operation the same way `Drop` would; the caller will never
+            // see a dequeue's result, so it is claimed and discarded.
+            drop(self.finish_own(guard, w.enqueue(), phase));
         } else if !w.enqueue() && self.deq_in_flight {
             // The dequeue completed (possibly via helpers) but the
             // unwind hit before the epilogue claimed the value.
-            drop(Self::read_deq_result(q, tid, guard));
+            drop(Self::read_deq_result(q, tid));
         }
         self.deq_in_flight = false;
         // Leave head and tail fully advanced — the next operation (ours
         // or anyone's) starts from a quiescent queue, and an enqueue
         // that died between steps 2 and 3 gets its tail swing now.
-        q.help_finish_enq(guard);
-        q.help_finish_deq(guard, &mut self.cache, tid);
+        q.help_finish_enq(&self.local);
+        q.help_finish_deq(&mut self.local, guard, tid);
+        R::clear(&self.local, H_NODE);
+        R::clear(&self.local, H_NEXT);
         self.fast_streak = 0;
     }
 
@@ -672,38 +668,48 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// the helping mechanism deterministically; not part of the public
     /// API surface.
     #[doc(hidden)]
-    pub fn begin_enqueue_unhelped(&mut self, value: T) -> PendingOp<'_, 'q, T> {
-        let q = self.queue;
-        let tid = self.id.id();
-        let guard = epoch::pin();
-        let phase = q.next_phase(tid);
-        let node = self.alloc_node(value, tid);
-        q.state[tid].publish(phase, node as usize, true);
-        PendingOp {
-            handle: self,
-            guard,
-            phase,
-            enqueue: true,
-            done: false,
-        }
+    pub fn begin_enqueue_unhelped(&mut self, value: T) -> KpPendingOp<'_, 'q, T, R> {
+        self.begin_unhelped(Some(value))
     }
 
     /// Dequeue counterpart of [`begin_enqueue_unhelped`].
     ///
     /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
     #[doc(hidden)]
-    pub fn begin_dequeue_unhelped(&mut self) -> PendingOp<'_, 'q, T> {
-        let q = self.queue;
-        let tid = self.id.id();
-        let guard = epoch::pin();
+    pub fn begin_dequeue_unhelped(&mut self) -> KpPendingOp<'_, 'q, T, R> {
+        self.begin_unhelped(None)
+    }
+
+    /// Publishes an enqueue of `value`, or a dequeue for `None`.
+    fn begin_unhelped(&mut self, value: Option<T>) -> KpPendingOp<'_, 'q, T, R> {
+        let (q, tid) = (self.queue, self.id.id());
+        let guard = R::pin();
         let phase = q.next_phase(tid);
-        q.state[tid].publish(phase, 0, false);
-        PendingOp {
+        let enqueue = value.is_some();
+        let node = value.map_or(ptr::null_mut(), |v| self.alloc_node(v, tid));
+        q.state[tid].publish(phase, node as usize, enqueue);
+        KpPendingOp {
             handle: self,
             guard,
             phase,
-            enqueue: false,
+            enqueue,
             done: false,
+        }
+    }
+
+    /// Drives this handle's own published operation at `phase` to
+    /// completion, exactly as the owner would (L64–65 / L101–107
+    /// without the helping scan); returns a dequeue's value.
+    fn finish_own(&mut self, guard: &R::Guard, enqueue: bool, phase: i64) -> Option<T> {
+        let (q, tid) = (self.queue, self.id.id());
+        if enqueue {
+            q.help_enq(&self.local, tid, phase, tid);
+            q.help_finish_enq(&self.local);
+            None
+        } else {
+            q.help_deq(&mut self.local, guard, tid, phase, tid);
+            q.help_finish_deq(&mut self.local, guard, tid);
+            Self::read_deq_result(q, tid)
         }
     }
 
@@ -716,13 +722,13 @@ impl<'q, T: Send> WfHandle<'q, T> {
     /// bound is unchanged; strictly the entry/exit overhead is
     /// amortized.
     ///
-    /// The pin is renewed ([`Guard::repin`]) every 32 values, between
-    /// two completed operations, so a batch delays node reclamation by
-    /// at most 32 values rather than by the whole batch. A pin held
-    /// across the batch would also stall the batch's own retirements:
-    /// while this thread stays pinned behind the global epoch, no nudge
-    /// (ours or a peer's) can move the epoch the two steps a node
-    /// retired here needs to mature.
+    /// The protection is renewed every 32 values, between two completed
+    /// operations, so a batch delays node reclamation by at most 32
+    /// values rather than by the whole batch. An epoch pin held across
+    /// the batch would also stall the batch's own retirements: while
+    /// this thread stays pinned behind the global epoch, no nudge (ours
+    /// or a peer's) can move the epoch the two steps a node retired
+    /// here needs to mature.
     ///
     /// Returns how many values were enqueued (always `batch.len()`).
     ///
@@ -738,44 +744,30 @@ impl<'q, T: Send> WfHandle<'q, T> {
         if n == 0 {
             return 0;
         }
-        // Prologue strictly before pin (publisher-scan order, as in
-        // `enqueue`); one liveness beat covers the whole batch.
-        self.op_prologue();
-        let mut guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        // One guarded entry, so one liveness beat, covers the batch.
+        self.guarded(|h, guard| {
             for (i, value) in batch.drain(..).enumerate() {
                 // Between two completed operations nothing this handle
                 // holds points into the queue, so renewing the pin is
                 // what a scalar caller's unpin and pin would do.
                 if i > 0 && i % REPIN_EVERY == 0 {
-                    guard.repin();
+                    R::repin(guard);
                 }
                 // The watchdog still sees one bounded operation per
                 // value — batching must not relax the O(n) step budget.
                 chaos_hooks::op_begin();
-                if self.max_fast_failures > 0 {
-                    self.enqueue_fast_first(value, &guard);
-                } else {
-                    self.slow_enqueue(value, &guard);
-                }
+                h.enqueue_one(value, guard);
                 chaos_hooks::op_end();
             }
-            self.reap_tick(&guard);
-        }));
-        match result {
-            Ok(()) => n,
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
-            }
-        }
+        });
+        n
     }
 
     /// Dequeues up to `max` immediately available values into `out`,
     /// stopping at the first empty observation; returns how many were
     /// taken. The batched twin of [`enqueue_batch`]: per-call fixed
     /// costs are paid once, each value is still its own bounded
-    /// operation, and the epoch pin is renewed every 32 values. A
+    /// operation, and the protection is renewed every 32 values. A
     /// consumer retires one node per value, so without the renewal
     /// every sentinel this batch unlinks would stay immature until the
     /// batch ended.
@@ -785,20 +777,14 @@ impl<'q, T: Send> WfHandle<'q, T> {
         if max == 0 {
             return 0;
         }
-        self.op_prologue();
-        let mut guard = epoch::pin();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        self.guarded(|h, guard| {
             let mut taken = 0;
             while taken < max {
                 if taken > 0 && taken % REPIN_EVERY == 0 {
-                    guard.repin();
+                    R::repin(guard);
                 }
                 chaos_hooks::op_begin();
-                let value = if self.max_fast_failures > 0 {
-                    self.dequeue_fast_first(&guard)
-                } else {
-                    self.slow_dequeue(&guard)
-                };
+                let value = h.dequeue_one(guard);
                 chaos_hooks::op_end();
                 match value {
                     Some(v) => {
@@ -808,25 +794,17 @@ impl<'q, T: Send> WfHandle<'q, T> {
                     None => break,
                 }
             }
-            self.reap_tick(&guard);
             taken
-        }));
-        match result {
-            Ok(taken) => taken,
-            Err(payload) => {
-                self.recover_after_unwind(&guard);
-                resume_unwind(payload);
-            }
-        }
+        })
     }
 
     /// Performs a fast-path append and **skips the tail swing**: the
-    /// shared state a thread killed at `kp.fast.swing_tail` leaves
-    /// behind when nothing runs its unwind recovery (sudden death).
-    /// The value is linearized — the append CAS is the linearization
-    /// point — but the tail lags until someone's `help_finish_enq`
-    /// fixes it, which makes the *next* budget-1 fast enqueue demote
-    /// deterministically. Test infrastructure, like
+    /// shared state a thread killed at the `fast.swing_tail` site
+    /// leaves behind when nothing runs its unwind recovery (sudden
+    /// death). The value is linearized — the append CAS is the
+    /// linearization point — but the tail lags until someone's
+    /// `help_finish_enq` fixes it, which makes the *next* budget-1 fast
+    /// enqueue demote deterministically. Test infrastructure, like
     /// [`begin_enqueue_unhelped`].
     ///
     /// [`begin_enqueue_unhelped`]: Self::begin_enqueue_unhelped
@@ -835,35 +813,35 @@ impl<'q, T: Send> WfHandle<'q, T> {
         let q = self.queue;
         // Prologue before pin, as in `enqueue` (publisher-scan order).
         self.op_prologue();
-        let guard = epoch::pin();
+        let _guard = R::pin();
         let node = self.alloc_node(value, FAST_ENQUEUER);
-        q.append_no_swing(node, self.id.id(), &guard);
+        q.append_no_swing(&self.local, node, self.id.id());
     }
 }
 
-impl<T: Send> QueueHandle<T> for WfHandle<'_, T> {
+impl<T: Send, R: Reclaim> QueueHandle<T> for KpHandle<'_, T, R> {
     fn enqueue(&mut self, value: T) {
-        WfHandle::enqueue(self, value);
+        KpHandle::enqueue(self, value);
     }
 
     fn dequeue(&mut self) -> Option<T> {
-        WfHandle::dequeue(self)
+        KpHandle::dequeue(self)
     }
 
     fn try_enqueue_batch(&mut self, batch: &mut Vec<T>) -> usize {
-        WfHandle::enqueue_batch(self, batch)
+        KpHandle::enqueue_batch(self, batch)
     }
 
     fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        WfHandle::dequeue_batch(self, out, max)
+        KpHandle::dequeue_batch(self, out, max)
     }
 
     fn fast_path_stats(&self) -> Option<FastPathStats> {
-        Some(WfHandle::fast_path_stats(self))
+        Some(KpHandle::fast_path_stats(self))
     }
 }
 
-impl<T: Send> Drop for WfHandle<'_, T> {
+impl<T: Send, R: Reclaim> Drop for KpHandle<'_, T, R> {
     fn drop(&mut self) {
         // §3.3 "dummy descriptor on exit". The ID must not return to the
         // pool while `state[tid]` still describes an unfinished
@@ -876,7 +854,7 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         // result, and leave a pristine descriptor behind.
         let q = self.queue;
         let tid = self.id.id();
-        let guard = epoch::pin();
+        let guard = R::pin();
         // Exit counts as an operation under the lease protocol: signal
         // liveness first, so a reaper part-way through accumulating
         // silence against this slot restarts its patience window and
@@ -893,26 +871,22 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         if !self.id.lease_holds() {
             // Reaped out from under us (lease-contract violation on our
             // side): the reaper already drove the descriptor idle and
-            // the slot may belong to a successor — touching `state[tid]`
-            // or `epoch_tokens[tid]` now would corrupt *their* state.
+            // quarantined our participation (a hazard record is now
+            // adoptable, so it is leaked rather than dropped), and the
+            // slot may belong to a successor — touching `state[tid]` or
+            // `tokens[tid]` now would corrupt *their* state.
             // `IdGuard::drop`'s release CAS fails silently on the stale
-            // generation. Only our private cache is still ours to free.
-            self.cache.drain(&guard, &q.pool);
+            // generation. Only our private nodes are still ours to free.
+            R::drain(&mut self.local, &guard, &q.pool);
             return;
         }
-        let (w, phase) = q.state[tid].view(kp_sync::atomic::Ordering::SeqCst);
+        R::exiting(&q.tokens[tid]);
+        let (w, phase) = q.state[tid].view(Ordering::SeqCst);
         if w.pending() {
-            if w.enqueue() {
-                q.help_enq(tid, phase, tid, &guard);
-                q.help_finish_enq(&guard);
-            } else {
-                q.help_deq(tid, phase, tid, &guard, &mut self.cache);
-                q.help_finish_deq(&guard, &mut self.cache, tid);
-                // Nobody will ever read this dequeue's result; take the
-                // value out of the node so conservation stays exact (it
-                // counts as consumed-by-the-departed-thread).
-                drop(Self::read_deq_result(q, tid, &guard));
-            }
+            // Nobody will ever read a dequeue's result; taking it out of
+            // its node keeps conservation exact (it counts as
+            // consumed-by-the-departed-thread).
+            drop(self.finish_own(&guard, w.enqueue(), phase));
         }
         // Even when our op is no longer pending, the tail may still sit
         // *before* our appended node (we died between enqueue steps 2
@@ -922,46 +896,40 @@ impl<T: Send> Drop for WfHandle<'_, T> {
         // past it — one help_finish_enq call guarantees that. The head
         // needs no such gate (the L150 CAS is unconditional), but we
         // drive it too so the slot is handed over fully quiescent.
-        q.help_finish_enq(&guard);
-        q.help_finish_deq(&guard, &mut self.cache, tid);
+        q.help_finish_enq(&self.local);
+        q.help_finish_deq(&mut self.local, &guard, tid);
         // Fresh idle descriptor (version-bumped in place): the slot's
         // next owner starts from the same state a brand-new slot has,
         // and stale helper CASes against our old words keep failing.
         q.state[tid].reset();
-        // Reuse ends with the handle: mature nodes go back to the shared
-        // pool, the rest to the epoch collector.
-        self.cache.drain(&guard, &q.pool);
-        // Retract the published epoch token only after unpinning, and
-        // before the ID can be recycled: while we were pinned above, a
-        // reaper quarantining another abandoned slot with the same
-        // token had to see our publication (publisher scan, DESIGN.md
-        // §13.4) and spare our live pin; once unpinned there is nothing
-        // of ours left to protect, and clearing the slot stops a later
-        // reap of this ID's next lease from acting on a stale token.
-        drop(guard);
-        q.epoch_tokens[tid].store(0, kp_sync::atomic::Ordering::SeqCst);
-        // `self.id` drops after this body, releasing the virtual ID —
-        // only now that the state entry is helpable and self-contained.
+        R::drain(&mut self.local, &guard, &q.pool);
+        // SAFETY: the one `exit` of this handle state; nothing uses it
+        // afterwards. `self.id` drops after this body, releasing the
+        // virtual ID — only now that the state entry is helpable and
+        // self-contained.
+        unsafe { R::exit(&mut self.local, guard, &q.tokens[tid]) };
     }
 }
 
-/// An in-flight operation started by [`WfHandle::begin_enqueue_unhelped`]
-/// or [`WfHandle::begin_dequeue_unhelped`] — the owner is "stalled" and
+/// An in-flight operation started by
+/// [`KpHandle::begin_enqueue_unhelped`] or
+/// [`KpHandle::begin_dequeue_unhelped`] — the owner is "stalled" and
 /// other threads' operations may complete it through helping.
 ///
-/// Holds the owner's epoch guard, so the queue's node references stay
-/// valid until [`finish`](PendingOp::finish). Not `Send`: it models one
-/// stalled thread.
+/// Holds the owner's per-operation protection (its epoch guard), so the
+/// queue's node references stay valid until
+/// [`finish`](KpPendingOp::finish). Not `Send`: it models one stalled
+/// thread.
 #[doc(hidden)]
-pub struct PendingOp<'h, 'q, T: Send> {
-    handle: &'h mut WfHandle<'q, T>,
-    guard: Guard,
+pub struct KpPendingOp<'h, 'q, T: Send, R: Reclaim> {
+    handle: &'h mut KpHandle<'q, T, R>,
+    guard: R::Guard,
     phase: i64,
     enqueue: bool,
     done: bool,
 }
 
-impl<T: Send> PendingOp<'_, '_, T> {
+impl<T: Send, R: Reclaim> KpPendingOp<'_, '_, T, R> {
     /// True while the operation has not been linearized-and-acknowledged
     /// by anyone (owner or helper).
     pub fn is_pending(&self) -> bool {
@@ -978,19 +946,14 @@ impl<T: Send> PendingOp<'_, '_, T> {
     fn complete(&mut self) -> Option<T> {
         debug_assert!(!self.done);
         self.done = true;
-        let q = self.handle.queue;
-        let tid = self.handle.id.id();
+        let value = self.handle.finish_own(&self.guard, self.enqueue, self.phase);
+        let cells = self.handle.cells;
         if self.enqueue {
-            q.help_enq(tid, self.phase, tid, &self.guard);
-            q.help_finish_enq(&self.guard);
-            self.handle.cells.enqueues.bump();
-            None
+            cells.enqueues.bump();
         } else {
-            q.help_deq(tid, self.phase, tid, &self.guard, &mut self.handle.cache);
-            q.help_finish_deq(&self.guard, &mut self.handle.cache, tid);
-            self.handle.cells.dequeues.bump();
-            WfHandle::read_deq_result(q, tid, &self.guard)
+            cells.dequeues.bump();
         }
+        value
     }
 
     /// Resumes the stalled owner: completes the operation (help may
@@ -1010,7 +973,7 @@ impl<T: Send> PendingOp<'_, '_, T> {
     }
 }
 
-impl<T: Send> Drop for PendingOp<'_, '_, T> {
+impl<T: Send, R: Reclaim> Drop for KpPendingOp<'_, '_, T, R> {
     fn drop(&mut self) {
         if !self.done {
             // The operation MUST be driven to completion before the

@@ -2,7 +2,7 @@
 
 use queue_traits::testing;
 
-use crate::hp::WfQueueHp;
+use crate::WfQueueHp;
 use crate::{Config, ConcurrentQueue, HelpPolicy};
 
 fn all_configs() -> Vec<Config> {

@@ -40,6 +40,9 @@
 //!
 //! plus [`HelpPolicy::RandomChunk`] (the paper's "random chunk" remark,
 //! probabilistic wait-freedom) and the `validate_before_cas` enhancement.
+//! Every configuration runs on both reclamation backends — epochs
+//! ([`WfQueue`]) and the §3.4 hazard pointers ([`WfQueueHp`]); see
+//! *Memory management*.
 //!
 //! # Memory management
 //!
@@ -55,19 +58,22 @@
 //!   version, so a helper CAS armed with a stale view fails even when
 //!   node recycling makes the *fields* reappear (the ABA the seed's
 //!   alloc-per-transition scheme dodged by address freshness).
-//! * **Nodes are recycled.** Sentinels unlinked by a thread's own head
-//!   swing enter a per-handle cache tagged with the retirement epoch
-//!   and are reused once `tag + 2 <= global_epoch()` — exactly the
-//!   maturity rule [crossbeam-epoch] applies before *freeing*, so
-//!   recycling is sound wherever freeing would have been. A half-full
-//!   cache spills its mature nodes into a capped pool shared by every
-//!   handle, which a handle with nothing mature of its own drains
-//!   before it allocates; nodes that fit neither go to `defer_destroy`.
+//! * **Nodes are recycled.** Retired sentinels return to a capped pool
+//!   shared by every handle once no reader can reach them, and an
+//!   enqueue steals the pool's whole chain before it allocates.
 //!
-//! Epoch reclamation is lock-free rather than wait-free; the paper's
-//! fully wait-free answer (hazard pointers) backs the [`hp`] variant in
-//! this crate and the `ms-queue` crate — see DESIGN.md for the
-//! substitution rationale and the full descriptor-memory discussion.
+//! Reclamation itself is a type parameter: the algorithm is written
+//! once, as [`KpQueue`]/[`KpHandle`], over a sealed [`Reclaim`] backend
+//! with exactly two implementations, the only thing §3.4 says a non-GC
+//! runtime changes:
+//!
+//! | Alias | Backend | Reclamation |
+//! |---|---|---|
+//! | [`WfQueue`] / [`WfHandle`] | [`Epoch`] | crossbeam-epoch pins; a handle's retired sentinels mature in its own cache (reused once `tag + 2 <= global_epoch()`, [crossbeam-epoch]'s own free rule) and spill into the shared pool. Lock-free. |
+//! | [`WfQueueHp`] / [`WfHpHandle`] | [`Hazard`] | Michael's hazard pointers (two slots per handle) with a two-token disposal gate on the value node a completed dequeue hands its owner. Wait-free. |
+//!
+//! See DESIGN.md for the substitution rationale and the full
+//! descriptor-memory discussion.
 //!
 //! # Thread identities
 //!
@@ -132,24 +138,46 @@
 mod chaos_hooks;
 mod config;
 mod desc;
+mod epoch;
 mod handle;
-pub mod hp;
+mod hazard;
 mod node;
 mod pool;
 mod queue;
 mod reap;
+mod reclaim;
 mod recycle;
 mod stats;
 
 pub use config::{Config, HelpPolicy, PhasePolicy};
-pub use hp::{PendingOpHp, WfHpHandle, WfQueueHp};
 #[doc(hidden)]
-pub use handle::PendingOp;
-pub use handle::WfHandle;
-pub use queue::WfQueue;
+pub use handle::KpPendingOp;
+pub use handle::KpHandle;
+pub use queue::KpQueue;
+pub use reclaim::{Epoch, Hazard, Reclaim};
 pub use stats::StatsSnapshot;
+
+/// The Kogan–Petrank queue on epoch-based reclamation.
+pub type WfQueue<T> = KpQueue<T, Epoch>;
+/// A registered thread's handle to a [`WfQueue`].
+pub type WfHandle<'q, T> = KpHandle<'q, T, Epoch>;
+/// An unhelped in-flight operation on a [`WfQueue`] (test hook).
+#[doc(hidden)]
+pub type PendingOp<'h, 'q, T> = KpPendingOp<'h, 'q, T, Epoch>;
+
+/// The Kogan–Petrank queue with hazard-pointer reclamation (paper
+/// §3.4): both the queue operations *and* memory management are
+/// wait-free.
+pub type WfQueueHp<T> = KpQueue<T, Hazard>;
+/// A registered thread's handle to a [`WfQueueHp`].
+pub type WfHpHandle<'q, T> = KpHandle<'q, T, Hazard>;
+/// An unhelped in-flight operation on a [`WfQueueHp`] (test hook).
+#[doc(hidden)]
+pub type PendingOpHp<'h, 'q, T> = KpPendingOp<'h, 'q, T, Hazard>;
 
 pub use queue_traits::{ConcurrentQueue, QueueHandle, RegistrationError};
 
+#[cfg(test)]
+mod hp_tests;
 #[cfg(test)]
 mod tests;

@@ -1,9 +1,8 @@
 //! The linked-list node (paper Figure 1, `class Node`).
 
-use kp_sync::atomic::{AtomicIsize, Ordering};
+use kp_sync::atomic::{AtomicIsize, AtomicPtr, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
-
-use crossbeam_epoch::{self as epoch, Atomic, Shared};
+use std::ptr;
 
 use crate::pool::PoolNode;
 
@@ -23,6 +22,12 @@ pub(crate) const FAST_ENQUEUER: usize = usize::MAX - 1;
 /// proceed exactly as for a slow-path lock.
 pub(crate) const FAST_DEQUEUER: isize = -2;
 
+/// Set in `tokens` once the dequeue owner has taken the node's value.
+pub(crate) const TOKEN_CONSUMED: u8 = 1;
+/// Set in `tokens` once the hazard scan found the retired node
+/// uncovered.
+pub(crate) const TOKEN_RECLAIM_READY: u8 = 2;
+
 /// A node of the queue's underlying singly-linked list.
 ///
 /// Compared with the Michael–Scott node, the paper adds two fields that
@@ -39,52 +44,87 @@ pub(crate) const FAST_DEQUEUER: isize = -2;
 /// into a [`StateSlot`](crate::desc) ctrl word (`addr >> 6` fits the
 /// 42-bit field), and it keeps recycled nodes from false-sharing.
 #[repr(align(64))]
-pub(crate) struct Node<T> {
+pub struct Node<T> {
     /// `None` only for sentinels whose payload was already taken (or the
     /// initial sentinel, which never had one). Taken exactly once, by the
-    /// unique thread whose dequeue locked this node's predecessor.
+    /// owner of the dequeue whose completed descriptor word names this
+    /// node (or by the fast dequeuer that locked its predecessor).
     pub(crate) value: UnsafeCell<Option<T>>,
-    pub(crate) next: Atomic<Node<T>>,
+    /// FIFO link, null until the node is appended; doubles as the pool
+    /// link once the node is recycled ([`PoolNode`]).
+    pub(crate) next: AtomicPtr<Node<T>>,
     /// Plain (non-atomic) because it is written only while the node is
     /// exclusively owned: at construction, or on reuse *before* the
-    /// owner republishes it (see `WfHandle::alloc_node` — the maturity
-    /// rule guarantees no helper still holds the node). `usize::MAX`
+    /// owner republishes it (see `KpHandle::alloc_node`). `usize::MAX`
     /// for the initial sentinel (never a dangling node, so never read).
     pub(crate) enq_tid: usize,
     pub(crate) deq_tid: AtomicIsize,
+    /// The hazard backend's two-token disposal gate:
+    /// [`TOKEN_CONSUMED`] | [`TOKEN_RECLAIM_READY`]; whichever
+    /// `fetch_or` observes the other bit releases the node. The epoch
+    /// backend never touches it.
+    pub(crate) tokens: AtomicU8,
 }
 
 impl<T> Node<T> {
     pub(crate) fn new(value: Option<T>, enq_tid: usize) -> Self {
         Node {
             value: UnsafeCell::new(value),
-            next: Atomic::null(),
+            next: AtomicPtr::new(ptr::null_mut()),
             enq_tid,
             deq_tid: AtomicIsize::new(NO_DEQUEUER),
+            tokens: AtomicU8::new(0),
         }
     }
 
+    /// A fresh heap node; every node is a `Box` (the pool and the
+    /// reclamation backends free them as such).
+    pub(crate) fn boxed(value: Option<T>, enq_tid: usize) -> *mut Self {
+        Box::into_raw(Box::new(Node::new(value, enq_tid)))
+    }
+
+    /// The initial sentinel. Its `tokens` start with [`TOKEN_CONSUMED`]
+    /// set: a sentinel that never was a value node has no owner to
+    /// consume it, so the hazard scan alone completes the gate.
     pub(crate) fn sentinel() -> Self {
-        Node::new(None, usize::MAX)
+        let node = Node::new(None, usize::MAX);
+        node.tokens.store(TOKEN_CONSUMED, Ordering::Relaxed);
+        node
+    }
+
+    /// Re-initialises a recycled node to carry `value` for `enq_tid`.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns `node` exclusively (it came from a reclamation
+    /// backend's node source) and publishes it afterwards with a SeqCst
+    /// store or CAS, which releases these plain/Relaxed writes to any
+    /// helper that reads the node through the descriptor or the list.
+    pub(crate) unsafe fn reuse(node: *mut Self, value: T, enq_tid: usize) {
+        // SAFETY: exclusive ownership (caller contract).
+        unsafe {
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+            (*node).deq_tid.store(NO_DEQUEUER, Ordering::Relaxed);
+            (*node).tokens.store(0, Ordering::Relaxed);
+            (*node).enq_tid = enq_tid;
+            *(*node).value.get() = Some(value);
+        }
     }
 }
 
-// SAFETY: nodes are boxed at birth (`alloc_node`'s `Box::into_raw`;
-// the initial sentinel's `Owned` is a `Box` too). A node enters the
-// pool only once mature — no pinned thread can reach it any more, and
-// none can later, since it is unlinked — so its `next` link is free for
-// the pool and the node's stealer to use (`crate::recycle`).
+// SAFETY: nodes are boxed at birth (`Node::boxed`, and the initial
+// sentinel). A node enters the pool only once no thread can reach it —
+// epoch: mature, so no pin that could observe it remains; hazard: the
+// token gate closed, so no hazard covers it and its value is taken —
+// and since it is unlinked none can reach it later, so its `next` link
+// is free for the pool and the node's stealer to use.
 unsafe impl<T> PoolNode for Node<T> {
     fn free_next(&self) -> *mut Self {
-        // SAFETY: the unprotected guard only names the load's lifetime;
-        // no pin is needed to keep a pooled node alive (see above).
-        let guard = unsafe { epoch::unprotected() };
-        self.next.load(Ordering::Relaxed, guard).as_raw() as *mut Self
+        self.next.load(Ordering::Relaxed)
     }
 
     fn set_free_next(&self, next: *mut Self) {
-        self.next
-            .store(Shared::from(next as *const Self), Ordering::Relaxed);
+        self.next.store(next, Ordering::Relaxed);
     }
 }
 
@@ -113,5 +153,26 @@ mod tests {
     fn node_alignment_matches_the_packed_word() {
         assert_eq!(std::mem::align_of::<Node<u8>>(), crate::desc::NODE_ALIGN);
         assert!(std::mem::align_of::<Node<[u64; 9]>>() >= crate::desc::NODE_ALIGN);
+    }
+
+    #[test]
+    fn fresh_nodes_start_ungated() {
+        let n = Node::boxed(Some(5u32), 2);
+        // SAFETY: `n` is freshly leaked and exclusively owned by the test.
+        unsafe {
+            assert_eq!(*(*n).value.get(), Some(5));
+            assert_eq!((*n).enq_tid, 2);
+            assert_eq!((*n).deq_tid.load(Ordering::Relaxed), NO_DEQUEUER);
+            assert_eq!((*n).tokens.load(Ordering::Relaxed), 0);
+            drop(Box::from_raw(n));
+        }
+    }
+
+    #[test]
+    fn sentinels_are_born_consumed() {
+        let s: Node<u32> = Node::sentinel();
+        assert_eq!(s.tokens.load(Ordering::Relaxed), TOKEN_CONSUMED);
+        // SAFETY: `s` is owned by the test; no concurrent access to the cell.
+        assert!(unsafe { (*s.value.get()).is_none() });
     }
 }

@@ -2,10 +2,11 @@
 //! steal-all freelist (one per queue).
 //!
 //! Nodes enter the pool only when nobody else can reach them — in the
-//! hazard-pointer engine once the two-token gate closed (`hp::types`),
-//! in the epoch engine once a retired node matured (`crate::recycle`) —
-//! and leave it in bulk: a handle that needs nodes [`steal`]s the whole
-//! list at once and pops from it privately.
+//! hazard-pointer engine once the two-token gate closed
+//! (`crate::hazard`), in the epoch engine once a retired node matured
+//! (`crate::recycle`) — and leave it in bulk: a handle that needs nodes
+//! [`steal`]s the whole list at once into its [`Spare`] chain and pops
+//! from it privately.
 //!
 //! The steal-all shape is what makes the freelist sound without tags:
 //! a push links a chain the pusher exclusively owns (write the last
@@ -45,7 +46,7 @@ const PUSH_ATTEMPTS: usize = 8;
 /// Implementors must be allocated with `Box`, and the link the two
 /// methods access must be touched by nobody but the node's exclusive
 /// owner while the node is in the pool or in a stolen chain.
-pub(crate) unsafe trait PoolNode: Sized {
+pub unsafe trait PoolNode: Sized {
     /// The next node of the chain this node is on.
     fn free_next(&self) -> *mut Self;
     /// Links this node to `next`.
@@ -53,28 +54,26 @@ pub(crate) unsafe trait PoolNode: Sized {
 }
 
 /// The shared node freelist.
-pub(crate) struct NodePool<N: PoolNode> {
+pub struct NodePool<N: PoolNode> {
     /// Treiber head, linked through [`PoolNode::free_next`].
     head: AtomicPtr<N>,
     /// Approximate population (maintained racily; only bounds growth).
     len: AtomicUsize,
-    /// Nodes freed instead of pooled while reuse was *on* — the pool
-    /// was at [`POOL_CAP`] or the push-contention bound tripped. Part of
+    /// Nodes freed instead of pooled — the pool was at [`POOL_CAP`] or
+    /// the push-contention bound tripped. Part of
     /// the memory-pressure signal (DESIGN.md §13), folded into
     /// `StatsSnapshot::cache_overflows`. A shared RMW because pushes run
     /// from hazard-scan reclaim callbacks that belong to no tid; it only
     /// moves on the overflow path.
     overflows: AtomicUsize,
-    reuse: bool,
 }
 
 impl<N: PoolNode> NodePool<N> {
-    pub(crate) fn new(reuse: bool) -> Self {
+    pub(crate) fn new() -> Self {
         NodePool {
             head: AtomicPtr::new(ptr::null_mut()),
             len: AtomicUsize::new(0),
             overflows: AtomicUsize::new(0),
-            reuse,
         }
     }
 
@@ -94,8 +93,8 @@ impl<N: PoolNode> NodePool<N> {
     }
 
     /// Takes ownership of the `n` nodes linked from `first` to `last`
-    /// through their free links, pooling them or — at the cap, past the
-    /// push-contention bound, or with reuse disabled — freeing them.
+    /// through their free links, pooling them or — at the cap or past the
+    /// push-contention bound — freeing them.
     ///
     /// # Safety
     ///
@@ -103,7 +102,7 @@ impl<N: PoolNode> NodePool<N> {
     /// other thread can reach any of them any more — and give each up
     /// here once per lifetime generation.
     pub(crate) unsafe fn push_chain(&self, first: *mut N, last: *mut N, n: usize) {
-        if self.reuse && self.len.load(Ordering::Relaxed) + n <= POOL_CAP {
+        if self.len.load(Ordering::Relaxed) + n <= POOL_CAP {
             let mut head = self.head.load(Ordering::Relaxed);
             for _ in 0..PUSH_ATTEMPTS {
                 // SAFETY: exclusive ownership (caller contract); the
@@ -124,13 +123,11 @@ impl<N: PoolNode> NodePool<N> {
                 }
             }
         }
-        // Overflow, contention bound hit, or reuse disabled: free. Safe
-        // precisely because no stealer ever dereferences shared nodes —
-        // the chain was never published, so we still own it. With reuse
-        // on this is the backpressure path — count it.
-        if self.reuse {
-            self.overflows.fetch_add(n, Ordering::Relaxed);
-        }
+        // Overflow or contention bound hit: free. Safe precisely because
+        // no stealer ever dereferences shared nodes — the chain was never
+        // published, so we still own it. This is the backpressure path —
+        // count it.
+        self.overflows.fetch_add(n, Ordering::Relaxed);
         // SAFETY: exclusive ownership; terminate the chain so the walk
         // frees exactly its `n` nodes.
         unsafe {
@@ -143,9 +140,6 @@ impl<N: PoolNode> NodePool<N> {
     /// empty); the caller owns every node on it, linked through
     /// [`PoolNode::free_next`] and ending in null.
     pub(crate) fn steal(&self) -> *mut N {
-        if !self.reuse {
-            return ptr::null_mut();
-        }
         // A plain load first, so probing an empty pool does not take its
         // line exclusive. Seeing it empty also repairs a `len` that a
         // push racing the last steal left overcounted (its `fetch_add`
@@ -184,6 +178,61 @@ unsafe fn free_chain<N: PoolNode>(mut cur: *mut N) {
     }
 }
 
+/// The chain a handle last stole from a [`NodePool`], popped privately:
+/// one swap buys a handle every node the pool held, and none goes back
+/// until the handle exits.
+pub struct Spare<N: PoolNode> {
+    head: *mut N,
+}
+
+// SAFETY: a stolen chain is exclusively owned by its holder (the
+// `NodePool::steal` contract); moving the holder to another thread
+// moves that ownership with it.
+unsafe impl<N: PoolNode + Send> Send for Spare<N> {}
+
+impl<N: PoolNode> Spare<N> {
+    pub(crate) fn new() -> Self {
+        Spare {
+            head: ptr::null_mut(),
+        }
+    }
+
+    /// A node no other thread can reach: the next one of the chain,
+    /// stealing `pool`'s whole list first when the chain is empty.
+    pub(crate) fn pop(&mut self, pool: &NodePool<N>) -> Option<*mut N> {
+        if self.head.is_null() {
+            self.head = pool.steal();
+        }
+        let node = self.head;
+        if node.is_null() {
+            return None;
+        }
+        // SAFETY: the chain is ours alone.
+        self.head = unsafe { (*node).free_next() };
+        Some(node)
+    }
+
+    /// Returns the rest of the chain to `pool` (handle exit).
+    pub(crate) fn give_back(&mut self, pool: &NodePool<N>) {
+        let first = std::mem::replace(&mut self.head, ptr::null_mut());
+        if first.is_null() {
+            return;
+        }
+        let (mut last, mut n) = (first, 1);
+        loop {
+            // SAFETY: the chain is ours alone.
+            let next = unsafe { (*last).free_next() };
+            if next.is_null() {
+                break;
+            }
+            last = next;
+            n += 1;
+        }
+        // SAFETY: as above; every node of the chain is exclusively ours.
+        unsafe { pool.push_chain(first, last, n) };
+    }
+}
+
 impl<N: PoolNode> Drop for NodePool<N> {
     fn drop(&mut self) {
         // SAFETY: exclusive access in Drop; freelist nodes are owned by
@@ -195,9 +244,9 @@ impl<N: PoolNode> Drop for NodePool<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hp::types::NodeHp;
+    use crate::node::Node;
 
-    fn collect_chain(mut cur: *mut NodeHp<u32>) -> Vec<*mut NodeHp<u32>> {
+    fn collect_chain(mut cur: *mut Node<u32>) -> Vec<*mut Node<u32>> {
         let mut got = Vec::new();
         while !cur.is_null() {
             got.push(cur);
@@ -209,9 +258,9 @@ mod tests {
 
     #[test]
     fn release_steal_roundtrip() {
-        let pool: NodePool<NodeHp<u32>> = NodePool::new(true);
-        let a = NodeHp::boxed(None, 0);
-        let b = NodeHp::boxed(None, 1);
+        let pool: NodePool<Node<u32>> = NodePool::new();
+        let a = Node::boxed(None, 0);
+        let b = Node::boxed(None, 1);
         // SAFETY: `a` and `b` are freshly leaked, uniquely owned nodes.
         unsafe {
             pool.release(a);
@@ -229,9 +278,9 @@ mod tests {
 
     #[test]
     fn chains_push_whole_and_respect_the_cap() {
-        let pool: NodePool<NodeHp<u32>> = NodePool::new(true);
+        let pool: NodePool<Node<u32>> = NodePool::new();
         let make = |n: usize| {
-            let nodes: Vec<_> = (0..n).map(|i| NodeHp::boxed(None, i)).collect();
+            let nodes: Vec<_> = (0..n).map(|i| Node::boxed(None, i)).collect();
             for w in nodes.windows(2) {
                 // SAFETY: the test owns every node.
                 unsafe { (*w[0]).set_free_next(w[1]) };
@@ -254,25 +303,15 @@ mod tests {
 
     #[test]
     fn empty_steal_repairs_an_overcounted_len() {
-        let pool: NodePool<NodeHp<u32>> = NodePool::new(true);
+        let pool: NodePool<Node<u32>> = NodePool::new();
         pool.len.store(POOL_CAP, Ordering::Relaxed);
         assert!(pool.steal().is_null());
-        let a = NodeHp::boxed(None, 0);
+        let a = Node::boxed(None, 0);
         // SAFETY: freshly leaked, uniquely owned.
         unsafe { pool.release(a) };
         assert_eq!(pool.overflows(), 0, "the repaired count admits the push");
         assert_eq!(pool.steal(), a);
         // SAFETY: stolen back; freed exactly once.
         unsafe { drop(Box::from_raw(a)) };
-    }
-
-    #[test]
-    fn reuse_disabled_frees_immediately() {
-        let pool: NodePool<NodeHp<u32>> = NodePool::new(false);
-        let a = NodeHp::boxed(None, 0);
-        // SAFETY: `a` is freshly leaked; with reuse off, release frees it.
-        unsafe { pool.release(a) };
-        assert!(pool.steal().is_null());
-        assert_eq!(pool.overflows(), 0, "a disabled pool is not pressure");
     }
 }

@@ -1,5 +1,6 @@
 //! The wait-free queue proper: shared structure and helping machinery
-//! (paper Figures 1, 2, 4 and 6).
+//! (paper Figures 1, 2, 4 and 6), written once for both reclamation
+//! backends (`crate::reclaim`).
 //!
 //! Line references in comments (`L62`, `L74`, …) are to the paper's Java
 //! listings, so the transcription can be audited side by side.
@@ -17,6 +18,14 @@
 //! heap allocations (nodes are recycled separately, see
 //! `crate::recycle` and `crate::pool`).
 //!
+//! # Node protection
+//!
+//! Every shared node dereference goes through the backend: a node read
+//! from `head`/`tail` passes `Backend::protect`, its successor
+//! `Backend::protect_next`. A completed dequeue word names the *value
+//! node* (the new sentinel), which its owner hands to
+//! `Backend::consume` after taking the value.
+//!
 //! # Memory-ordering audit
 //!
 //! The hot-path orderings were audited for this representation; the
@@ -29,32 +38,35 @@
 //! (`len_approx`/`is_empty`) and owner-private epilogues relax to
 //! Acquire.
 
-use kp_sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::ptr;
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+use kp_sync::atomic::{AtomicI64, AtomicPtr, AtomicUsize, Ordering};
 use kp_sync::CachePadded;
+
 use idpool::IdPool;
 use queue_traits::{ConcurrentQueue, RegistrationError};
 
 use crate::chaos_hooks::inject;
 use crate::config::{Config, PhasePolicy};
 use crate::desc::StateSlot;
-use crate::handle::WfHandle;
+use crate::handle::KpHandle;
 use crate::node::{Node, FAST_DEQUEUER, FAST_ENQUEUER, NO_DEQUEUER};
 use crate::pool::NodePool;
-use crate::recycle::RetireCache;
+use crate::reclaim::{Reclaim, H_NEXT, H_NODE};
 use crate::stats::{StatsSnapshot, StatsTable};
 
-/// The Kogan–Petrank wait-free MPMC FIFO queue.
+/// The Kogan–Petrank wait-free MPMC FIFO queue over reclamation backend
+/// `R` — used as [`WfQueue`](crate::WfQueue) (epochs) or
+/// [`WfQueueHp`](crate::WfQueueHp) (hazard pointers).
 ///
 /// See the [crate documentation](crate) for the algorithm overview and
-/// the paper-variant table. Construct with [`WfQueue::new`] (default
-/// `opt WF (1+2)` configuration) or [`WfQueue::with_config`], then call
-/// [`register`](ConcurrentQueue::register) from each participating
-/// thread.
-pub struct WfQueue<T> {
-    pub(crate) head: CachePadded<Atomic<Node<T>>>,
-    pub(crate) tail: CachePadded<Atomic<Node<T>>>,
+/// the paper-variant table. Construct with [`new`](Self::new) (default
+/// `opt WF (1+2)` configuration) or [`with_config`](Self::with_config),
+/// then call [`register`](ConcurrentQueue::register) from each
+/// participating thread.
+pub struct KpQueue<T, R: Reclaim> {
+    pub(crate) head: CachePadded<AtomicPtr<Node<T>>>,
+    pub(crate) tail: CachePadded<AtomicPtr<Node<T>>>,
     /// One reusable descriptor slot per virtual thread ID (`state` in
     /// Figure 1), padded to its own cache line.
     pub(crate) state: Box<[CachePadded<StateSlot>]>,
@@ -62,15 +74,20 @@ pub struct WfQueue<T> {
     phase_counter: CachePadded<AtomicI64>,
     /// Virtual thread IDs (§3.3 long-lived renaming).
     pub(crate) ids: IdPool,
-    /// Per-tid epoch-participant token of the handle's current OS
-    /// thread (`crossbeam_epoch::participant_token`), published lazily
-    /// by the owner at operation start when the reaper is enabled and 0
-    /// otherwise. A reap uses it to quarantine a dead owner's wedged
-    /// pin so the epoch can advance again (DESIGN.md §13).
-    pub(crate) epoch_tokens: Box<[CachePadded<AtomicUsize>]>,
-    /// Mature retired nodes spilled by full retire caches, for any
-    /// handle's enqueues (`crate::recycle`).
-    pub(crate) pool: CachePadded<NodePool<Node<T>>>,
+    /// Per-tid token of the handle's reclamation participation (epoch
+    /// participant token or hazard record token, `0` = none), which a
+    /// reap uses to quarantine a dead owner's participation (DESIGN.md
+    /// §13.4). When it is published and retracted is the backend's
+    /// business (`Backend::enter`/`announce`/`exiting`/`exit`).
+    pub(crate) tokens: Box<[CachePadded<AtomicUsize>]>,
+    /// The backend's per-queue state. Declared before `pool` so it drops
+    /// first: a hazard domain's teardown reclaims leftover retirees into
+    /// the pool.
+    reclaim: R::QueueState,
+    /// Recycled nodes for any handle's enqueues (`crate::pool`). Boxed
+    /// so the address hazard retirements carry stays valid if the queue
+    /// value moves.
+    pub(crate) pool: Box<CachePadded<NodePool<Node<T>>>>,
     pub(crate) config: Config,
     /// One counter block per virtual tid (`crate::stats`).
     pub(crate) stats: StatsTable,
@@ -78,15 +95,15 @@ pub struct WfQueue<T> {
 
 // SAFETY: all cross-thread traffic goes through atomics. The only
 // non-atomic shared data is each node's payload (written before the
-// node is published and taken exactly once by the unique thread whose
-// dequeue locked the node's predecessor — see `WfHandle::dequeue`) and
-// each node's `enq_tid` (rewritten only while the node is exclusively
-// owned, before republication — see `WfHandle::alloc_node`).
-unsafe impl<T: Send> Send for WfQueue<T> {}
+// node is published and taken exactly once by the unique owner of the
+// dequeue that removed it — see `KpHandle::read_deq_result`) and each
+// node's `enq_tid` (rewritten only while the node is exclusively owned,
+// before republication — see `KpHandle::alloc_node`).
+unsafe impl<T: Send, R: Reclaim> Send for KpQueue<T, R> {}
 // SAFETY: as for Send.
-unsafe impl<T: Send> Sync for WfQueue<T> {}
+unsafe impl<T: Send, R: Reclaim> Sync for KpQueue<T, R> {}
 
-impl<T: Send> WfQueue<T> {
+impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// Creates a queue for at most `max_threads` simultaneously
     /// registered handles, with the default (`opt WF (1+2)`) config.
     ///
@@ -111,30 +128,23 @@ impl<T: Send> WfQueue<T> {
             assert!(chunk > 0, "help chunk must be positive");
         }
         // Queue constructor, L27–35.
-        let sentinel = Owned::new(Node::sentinel());
-        let queue = WfQueue {
-            head: CachePadded::new(Atomic::null()),
-            tail: CachePadded::new(Atomic::null()),
+        let sentinel = Box::into_raw(Box::new(Node::sentinel()));
+        KpQueue {
+            head: CachePadded::new(AtomicPtr::new(sentinel)),
+            tail: CachePadded::new(AtomicPtr::new(sentinel)),
             state: (0..max_threads)
                 .map(|_| CachePadded::new(StateSlot::initial()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+                .collect(),
             phase_counter: CachePadded::new(AtomicI64::new(0)),
             ids: IdPool::new(max_threads),
-            epoch_tokens: (0..max_threads)
+            tokens: (0..max_threads)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            pool: CachePadded::new(NodePool::new(config.reuse_nodes)),
+                .collect(),
+            reclaim: R::queue_state(),
+            pool: Box::new(CachePadded::new(NodePool::new())),
             config,
             stats: StatsTable::new(max_threads),
-        };
-        // SAFETY: the queue is not yet shared.
-        let guard = unsafe { epoch::unprotected() };
-        let s = sentinel.into_shared(guard);
-        queue.head.store(s, Ordering::Relaxed);
-        queue.tail.store(s, Ordering::Relaxed);
-        queue
+        }
     }
 
     /// The configuration this queue runs with.
@@ -157,40 +167,32 @@ impl<T: Send> WfQueue<T> {
         snapshot
     }
 
-    /// Approximate number of elements (O(n) walk; diagnostics only).
+    /// The sentinel's successor (null when the queue is empty).
     ///
-    /// Ordering relaxation: Acquire, not SeqCst. The result is advisory
-    /// — it participates in no helping decision and no proof obligation
-    /// — so all it needs is that a non-null `next` dereferences a fully
+    /// Ordering relaxation: Acquire, not SeqCst. The diagnostics built
+    /// on it participate in no helping decision and no proof obligation
+    /// — all they need is that a non-null `next` dereferences a fully
     /// initialised node, which Acquire (paired with the release append
-    /// CAS) provides.
-    pub fn len_approx(&self) -> usize {
-        let guard = epoch::pin();
-        let mut n = 0;
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: head is never null and reachable nodes live under pin.
-        let mut cur = unsafe { head.deref() }.next.load(Ordering::Acquire, &guard);
-        while !cur.is_null() {
-            n += 1;
-            // SAFETY: a non-null `next` reaches an initialised node kept live by
-            // the pin — same argument as for `head` above.
-            cur = unsafe { cur.deref() }.next.load(Ordering::Acquire, &guard);
-        }
-        n
+    /// CAS) provides. Callers keep the walk safe: an epoch pin, or
+    /// quiescence.
+    pub(crate) fn head_next(&self) -> *mut Node<T> {
+        let head = self.head.load(Ordering::Acquire);
+        // SAFETY: head is never null; the caller keeps it live.
+        unsafe { (*head).next.load(Ordering::Acquire) }
     }
 
-    /// True if the queue is observed empty.
-    ///
-    /// Ordering relaxation: Acquire — same advisory-only argument as
-    /// [`len_approx`](Self::len_approx).
-    pub fn is_empty(&self) -> bool {
-        let guard = epoch::pin();
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: as in `len_approx`.
-        unsafe { head.deref() }
-            .next
-            .load(Ordering::Acquire, &guard)
-            .is_null()
+    /// Number of nodes after the sentinel (O(n) walk; same caller
+    /// contract as [`head_next`](Self::head_next)).
+    pub(crate) fn count_from_head(&self) -> usize {
+        let mut n = 0;
+        let mut cur = self.head_next();
+        while !cur.is_null() {
+            n += 1;
+            // SAFETY: a non-null `next` reaches an initialised node the
+            // caller keeps live — same argument as for `head`.
+            cur = unsafe { (*cur).next.load(Ordering::Acquire) };
+        }
+        n
     }
 
     // ------------------------------------------------------------------
@@ -236,32 +238,18 @@ impl<T: Send> WfQueue<T> {
         w.pending() && phase <= ph
     }
 
-    /// `help(phase)`, L36–47: scan the whole state array and help every
-    /// pending operation no younger than `ph`.
-    pub(crate) fn help_all(
-        &self,
-        ph: i64,
-        helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
-    ) {
-        for i in 0..self.state.len() {
-            self.help_index(i, ph, helper, guard, cache);
-        }
-    }
-
-    /// One iteration of the `help()` scan body (L38–45), also used by
-    /// the chunked §3.3 policies.
+    /// One iteration of the `help(phase)` scan body (L38–45), used by
+    /// every §3.3 policy.
     ///
     /// The ctrl load is SeqCst for the same helping-obligation reason
     /// as [`is_still_pending`](Self::is_still_pending).
     pub(crate) fn help_index(
         &self,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
         i: usize,
         ph: i64,
         helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
     ) {
         let (w, phase) = self.state[i].view(Ordering::SeqCst);
         if w.pending() && phase <= ph {
@@ -269,9 +257,9 @@ impl<T: Send> WfQueue<T> {
                 self.stats[helper].help_calls.bump();
             }
             if w.enqueue() {
-                self.help_enq(i, ph, helper, guard);
+                self.help_enq(local, i, ph, helper);
             } else {
-                self.help_deq(i, ph, helper, guard, cache);
+                self.help_deq(local, guard, i, ph, helper);
             }
         }
     }
@@ -283,62 +271,68 @@ impl<T: Send> WfQueue<T> {
     /// `help_enq(tid, phase)`, L67–84: drive thread `tid`'s pending
     /// enqueue until it is linearized (step 1 of the scheme: append the
     /// node at the end of the list).
-    pub(crate) fn help_enq(&self, tid: usize, ph: i64, helper: usize, guard: &Guard) {
+    pub(crate) fn help_enq(
+        &self,
+        local: &R::HandleState<'_, T>,
+        tid: usize,
+        ph: i64,
+        helper: usize,
+    ) {
         while self.is_still_pending(tid, ph) {
-            let last = self.tail.load(Ordering::SeqCst, guard); // L69
-            // SAFETY: tail is never null; the node it references is not
-            // retired before head passes it, which cannot happen while it
-            // is still the tail; we are pinned throughout (and recycled
-            // nodes obey the same maturity rule as freed ones, so our pin
-            // also keeps `last` out of any reuse cache hand-out).
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard); // L70
-            if last == self.tail.load(Ordering::SeqCst, guard) {
-                // L71
-                if next.is_null() {
-                    // L72: enqueue can be applied.
-                    // L73: re-check, then read the node from the owner's
-                    // descriptor. Reading the slot once and using its own
-                    // fields is equivalent to the paper's repeated
-                    // `state.get(tid)` reads: if the descriptor changed,
-                    // the owner's node was already appended, which makes
-                    // `last.next` non-null and the CAS below fail (the
-                    // dangling-node invariant, §3.1). Node recycling does
-                    // not weaken this: CAS success proves `last.next` was
-                    // null, i.e. the node we read was never appended, so
-                    // the owner's operation cannot have completed and the
-                    // node cannot have been retired, let alone reused.
-                    // SeqCst keeps the read coherent with the pending
-                    // check inside `is_still_pending` above.
-                    let (w, phase) = self.state[tid].view(Ordering::SeqCst);
-                    if w.pending() && phase <= ph && w.enqueue() {
-                        inject!("kp.append");
-                        let node = Shared::from(w.node_ptr::<Node<T>>() as *const Node<T>);
-                        if last_ref
-                            .next
-                            .compare_exchange(
-                                Shared::null(),
-                                node,
-                                Ordering::SeqCst,
-                                Ordering::Relaxed,
-                                guard,
-                            )
-                            .is_ok()
-                        {
-                            // L74 succeeded: the operation is linearized.
-                            let me = &self.stats[helper];
-                            me.appends_total.bump();
-                            if helper != tid {
-                                me.helped_appends.bump();
-                            }
-                            self.help_finish_enq(guard); // L75
-                            return;
-                        }
+            let last = R::protect(local, H_NODE, &self.tail); // L69
+            // SAFETY: tail is never null and `last` is protected; a node
+            // is retired only after head moves off it, which cannot
+            // happen while it is still the tail (and recycled nodes obey
+            // the same protection as freed ones).
+            let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L70
+            if last != self.tail.load(Ordering::SeqCst) {
+                continue; // L71 failed
+            }
+            if next.is_null() {
+                // L72: enqueue can be applied.
+                // L73: re-check, then read the node from the owner's
+                // descriptor. Reading the slot once and using its own
+                // fields is equivalent to the paper's repeated
+                // `state.get(tid)` reads: if the descriptor changed,
+                // the owner's node was already appended, which makes
+                // `last.next` non-null and the CAS below fail (the
+                // dangling-node invariant, §3.1). Node recycling does
+                // not weaken this: `last` is protected, so its `next` is
+                // write-once during the window, and CAS success proves
+                // `last.next` was still null, i.e. the node we read was
+                // never appended — the owner's operation cannot have
+                // completed and the node cannot have been retired, let
+                // alone reused. The node is only published here, never
+                // dereferenced. SeqCst keeps the read coherent with the
+                // pending check inside `is_still_pending` above.
+                let (w, phase) = self.state[tid].view(Ordering::SeqCst);
+                if w.pending() && phase <= ph && w.enqueue() {
+                    inject!(R::SITES.append);
+                    let node = w.node_ptr::<Node<T>>();
+                    // SAFETY: `last` is protected (see above).
+                    let appended = unsafe {
+                        (*last).next.compare_exchange(
+                            ptr::null_mut(),
+                            node,
+                            Ordering::SeqCst,
+                            Ordering::Relaxed,
+                        )
                     }
-                } else {
-                    // L79: some enqueue is in progress; finish it first.
-                    self.help_finish_enq(guard); // L80
+                    .is_ok();
+                    if appended {
+                        // L74 succeeded: the operation is linearized.
+                        let me = &self.stats[helper];
+                        me.appends_total.bump();
+                        if helper != tid {
+                            me.helped_appends.bump();
+                        }
+                        self.help_finish_enq(local); // L75
+                        return;
+                    }
                 }
+            } else {
+                // L79: some enqueue is in progress; finish it first.
+                self.help_finish_enq(local); // L80
             }
         }
     }
@@ -346,74 +340,71 @@ impl<T: Send> WfQueue<T> {
     /// `help_finish_enq()`, L85–97: steps 2 and 3 of the scheme — clear
     /// the owner's `pending` flag, then swing `tail` to the appended
     /// node.
-    pub(crate) fn help_finish_enq(&self, guard: &Guard) {
-        let last = self.tail.load(Ordering::SeqCst, guard); // L86
+    pub(crate) fn help_finish_enq(&self, local: &R::HandleState<'_, T>) {
+        let last = R::protect(local, H_NODE, &self.tail); // L86
         // SAFETY: as in `help_enq`.
-        let last_ref = unsafe { last.deref() };
-        let next = last_ref.next.load(Ordering::SeqCst, guard); // L87
-        if !next.is_null() {
-            // SAFETY: `next` was reachable from the pinned tail.
-            let next_ref = unsafe { next.deref() };
-            let tid = next_ref.enq_tid; // L89: owner of the dangling node
-            if tid == FAST_ENQUEUER {
-                // Fast-path node: there is no descriptor to complete
-                // (the append CAS both linearized and acknowledged the
-                // operation), so step 2 — and the L91 descriptor
-                // identity check, which could never pass — is skipped.
-                // The tail CAS from `last` re-validates by itself: if
-                // tail already advanced, it fails harmlessly.
-                inject!("kp.swing_tail");
-                let _ = self.tail.compare_exchange(
-                    last,
-                    next,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                    guard,
-                );
-                return;
-            }
-            debug_assert!(
-                tid < self.state.len(),
-                "dangling node must carry a valid enqueuer tid"
-            );
-            // L90. SeqCst is required here, not Acquire: with node
-            // recycling an Acquire load may return an *old* completed
-            // word of a previous operation that reused the same node —
-            // its fields ({pending: false, enqueue, node == next}) equal
-            // the transition target, so `cas_ctrl`'s no-op skip would
-            // report step 2 done and we would swing the tail while the
-            // real current word is still pending, wedging the owner.
-            // SeqCst excludes this: this load is SC-after our `next`
-            // read, which is SC-after the append CAS, which is SC-after
-            // the owner's publish of the *current* word.
-            let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
-            // L91: `last` still tail and the owner's descriptor still
-            // refers to the dangling node (guards against a racing
-            // help_finish_enq having already completed a *different*
-            // operation of the same thread).
-            if last == self.tail.load(Ordering::SeqCst, guard)
-                && cur.node_addr() == next.as_raw() as usize
-            {
-                inject!("kp.clear_pending.enq");
-                // §3.3 enhancement: skip the descriptor CAS when the flag
-                // is already off (a racing helper beat us to step 2).
-                if !self.config.validate_before_cas || cur.pending() {
-                    // L92–93: step 2 — acknowledge linearization (a
-                    // version-tagged in-place transition; phase kept).
-                    self.state[tid].cas_ctrl(cur, next.as_raw() as usize, false, true);
-                }
-                inject!("kp.swing_tail");
-                // L94: step 3 — fix tail. At most one of the racing CASes
-                // succeeds; the others observe tail already advanced.
-                let _ = self.tail.compare_exchange(
-                    last,
-                    next,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                    guard,
-                );
-            }
+        let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L87
+        if next.is_null() {
+            return;
         }
+        // Protect `next` before dereferencing: while `last` is still the
+        // tail, head ≤ last < next, so next cannot have been retired.
+        if !R::protect_next(local, next, &self.tail, last) {
+            R::clear(local, H_NEXT);
+            return;
+        }
+        // SAFETY: `next` protected above.
+        let tid = unsafe { (*next).enq_tid }; // L89: owner of the dangling node
+        if tid == FAST_ENQUEUER {
+            // Fast-path node: there is no descriptor to complete (the
+            // append CAS both linearized and acknowledged the
+            // operation), so step 2 — and the L91 descriptor identity
+            // check, which could never pass — is skipped. The tail CAS
+            // from `last` re-validates by itself: if tail already
+            // advanced, it fails harmlessly.
+            inject!(R::SITES.swing_tail);
+            let _ = self
+                .tail
+                .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
+            R::clear(local, H_NEXT);
+            return;
+        }
+        debug_assert!(
+            tid < self.state.len(),
+            "dangling node must carry a valid enqueuer tid"
+        );
+        // L90. SeqCst is required here, not Acquire: with node
+        // recycling an Acquire load may return an *old* completed word
+        // of a previous operation that reused the same node — its
+        // fields ({pending: false, enqueue, node == next}) equal the
+        // transition target, so `cas_ctrl`'s no-op skip would report
+        // step 2 done and we would swing the tail while the real
+        // current word is still pending, wedging the owner. SeqCst
+        // excludes this: this load is SC-after our `next` read, which
+        // is SC-after the append CAS, which is SC-after the owner's
+        // publish of the *current* word.
+        let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
+        // L91: `last` still tail and the owner's descriptor still
+        // refers to the dangling node (guards against a racing
+        // help_finish_enq having already completed a *different*
+        // operation of the same thread).
+        if self.tail.load(Ordering::SeqCst) == last && cur.node_addr() == next as usize {
+            inject!(R::SITES.clear_pending_enq);
+            // §3.3 enhancement: skip the descriptor CAS when the flag
+            // is already off (a racing helper beat us to step 2).
+            if !self.config.validate_before_cas || cur.pending() {
+                // L92–93: step 2 — acknowledge linearization (a
+                // version-tagged in-place transition; phase kept).
+                self.state[tid].cas_ctrl(cur, next as usize, false, true);
+            }
+            inject!(R::SITES.swing_tail);
+            // L94: step 3 — fix tail. At most one of the racing CASes
+            // succeeds; the others observe tail already advanced.
+            let _ = self
+                .tail
+                .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
+        }
+        R::clear(local, H_NEXT);
     }
 
     // ------------------------------------------------------------------
@@ -425,22 +416,19 @@ impl<T: Send> WfQueue<T> {
     /// with `tid`, or the queue is observed empty).
     pub(crate) fn help_deq(
         &self,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
         tid: usize,
         ph: i64,
         helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
     ) {
         while self.is_still_pending(tid, ph) {
-            let first = self.head.load(Ordering::SeqCst, guard); // L111
-            let last = self.tail.load(Ordering::SeqCst, guard); // L112
-            // SAFETY: head is never null; a sentinel is only retired
-            // after head moves off it, which our pin then defers (the
-            // reuse cache applies the same maturity rule before handing
-            // a node out, so the pin covers recycling too).
-            let first_ref = unsafe { first.deref() };
-            let next = first_ref.next.load(Ordering::SeqCst, guard); // L113
-            if first != self.head.load(Ordering::SeqCst, guard) {
+            let first = R::protect(local, H_NODE, &self.head); // L111
+            let last = self.tail.load(Ordering::SeqCst); // L112
+            // SAFETY: head is never null and `first` is protected; a
+            // sentinel is only retired after head moves off it.
+            let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L113
+            if first != self.head.load(Ordering::SeqCst) {
                 continue; // L114 failed: restart
             }
             if first == last {
@@ -454,11 +442,8 @@ impl<T: Send> WfQueue<T> {
                     // emptiness observation that predates the dequeue's
                     // phase selection (the L117–119 doorway guard).
                     let (cur, phase) = self.state[tid].view(Ordering::SeqCst);
-                    if last == self.tail.load(Ordering::SeqCst, guard)
-                        && cur.pending()
-                        && phase <= ph
-                    {
-                        inject!("kp.clear_pending.deq_empty");
+                    if self.tail.load(Ordering::SeqCst) == last && cur.pending() && phase <= ph {
+                        inject!(R::SITES.clear_pending_deq_empty);
                         // L118–120: record the empty result (node = null)
                         // and clear pending. Transition failure means
                         // another helper resolved the operation.
@@ -466,7 +451,7 @@ impl<T: Send> WfQueue<T> {
                     }
                 } else {
                     // L122: an enqueue is in progress; help it first.
-                    self.help_finish_enq(guard); // L123
+                    self.help_finish_enq(local); // L123
                 }
             } else {
                 // L125: queue is not empty.
@@ -476,31 +461,29 @@ impl<T: Send> WfQueue<T> {
                 if !(cur.pending() && phase <= ph) {
                     break; // L128
                 }
-                let node = cur.node_addr(); // L127
-                // L129–134: stage 0 — point the owner's descriptor at the
-                // current sentinel, so helpers racing between the empty
-                // and non-empty paths agree on which node the operation
-                // is about to remove.
-                if first == self.head.load(Ordering::SeqCst, guard)
-                    && node != first.as_raw() as usize
-                {
-                    inject!("kp.bind_sentinel");
-                    if !self.state[tid].cas_ctrl(cur, first.as_raw() as usize, true, false) {
+                // L129–134: stage 0 — point the owner's descriptor at
+                // the current sentinel (L127 reads the node), so helpers
+                // racing between the empty and non-empty paths agree on
+                // which node the operation is about to remove.
+                if self.head.load(Ordering::SeqCst) == first && cur.node_addr() != first as usize {
+                    inject!(R::SITES.bind_sentinel);
+                    if !self.state[tid].cas_ctrl(cur, first as usize, true, false) {
                         continue; // L132: descriptor changed; restart
                     }
                 }
-                inject!("kp.lock_sentinel");
+                inject!(R::SITES.lock_sentinel);
                 // L135: step 1 — lock the sentinel with the owner's tid
                 // (linearization point of a successful dequeue).
-                let locked = first_ref
-                    .deq_tid
-                    .compare_exchange(
+                // SAFETY: `first` is protected.
+                let locked = unsafe {
+                    (*first).deq_tid.compare_exchange(
                         NO_DEQUEUER,
                         tid as isize,
                         Ordering::SeqCst,
                         Ordering::Relaxed,
                     )
-                    .is_ok();
+                }
+                .is_ok();
                 if locked {
                     let me = &self.stats[helper];
                     me.locks_total.bump();
@@ -509,97 +492,114 @@ impl<T: Send> WfQueue<T> {
                     }
                 }
                 // L136: complete whichever dequeue locked the sentinel.
-                self.help_finish_deq(guard, cache, helper);
+                self.help_finish_deq(local, guard, helper);
             }
         }
     }
 
     /// `help_finish_deq()`, L141–153: steps 2 and 3 — clear the locking
-    /// owner's `pending` flag, then swing `head` past the sentinel. A
-    /// winning head swing retires the sentinel into `helper`'s cache.
+    /// owner's `pending` flag, handing it the value node, then swing
+    /// `head` past the sentinel. A winning head swing retires the
+    /// sentinel through `helper`'s backend state.
+    ///
+    /// The node hand-off replaces the paper's L103–107 read through the
+    /// sentinel (and §3.4's value courier): step 2 completes the
+    /// owner's word pointing at `next` — the *value node*, about to
+    /// become the new sentinel — and the owner's epilogue takes the
+    /// value out of it and consumes it (`Backend::consume`).
     pub(crate) fn help_finish_deq(
         &self,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
         helper: usize,
     ) {
-        let first = self.head.load(Ordering::SeqCst, guard); // L142
+        let first = R::protect(local, H_NODE, &self.head); // L142
         // SAFETY: as in `help_deq`.
-        let first_ref = unsafe { first.deref() };
-        let next = first_ref.next.load(Ordering::SeqCst, guard); // L143
-        let tid = first_ref.deq_tid.load(Ordering::SeqCst); // L144
+        let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L143
+        // Protect `next` before the head swing: while `first` is still
+        // the head, `next` cannot have been retired (head must pass
+        // `first` before it can pass `next`).
+        if !R::protect_next(local, next, &self.head, first) {
+            R::clear(local, H_NEXT);
+            return;
+        }
+        // SAFETY: `first` is protected.
+        let tid = unsafe { (*first).deq_tid.load(Ordering::SeqCst) }; // L144
         if tid == FAST_DEQUEUER {
             // Fast-locked sentinel: the `deqTid` CAS both linearized
             // the dequeue and granted the fast dequeuer unique value
-            // ownership (no descriptor courier), so step 2 is skipped.
-            // Step 3 and the winner-retires rule are unchanged.
-            inject!("kp.swing_head");
-            if first == self.head.load(Ordering::SeqCst, guard)
+            // ownership (no hand-off), so step 2 is skipped. Step 3 and
+            // the winner-retires rule are unchanged.
+            inject!(R::SITES.swing_head);
+            if self.head.load(Ordering::SeqCst) == first
                 && !next.is_null()
                 && self
                     .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
+                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
                 // SAFETY: `first` is now unreachable from the queue and
                 // retired exactly once (by the unique CAS winner).
-                unsafe { self.retire(first, guard, cache, helper) };
+                unsafe { self.retire(local, guard, first, helper) };
             }
+            R::clear(local, H_NEXT);
             return;
         }
         if tid != NO_DEQUEUER {
             // A locked sentinel was observed: the window between dequeue
             // steps 1 and 2.
-            inject!("kp.clear_pending.deq");
+            inject!(R::SITES.clear_pending_deq);
             let tid = tid as usize;
             // L146: SeqCst — symmetric to the L90 argument: an
             // Acquire-stale completed word of an *older* dequeue that
-            // bound the same recycled sentinel would no-op-skip step 2
+            // was handed the same recycled node would no-op-skip step 2
             // and let us swing head with the current operation still
             // pending.
             let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
-            if first == self.head.load(Ordering::SeqCst, guard) && !next.is_null() {
-                // L147
+            if self.head.load(Ordering::SeqCst) == first && !next.is_null() {
+                // L147. All step-2 racers compute the same `next`: they
+                // all validated `first` as head while it was protected,
+                // and a protected node's `next` is write-once.
                 if !self.config.validate_before_cas || cur.pending() {
-                    // L148–149: step 2 — acknowledge linearization,
-                    // keeping the descriptor's sentinel reference (the
-                    // owner reads the value through it, L103–107).
-                    self.state[tid].cas_ctrl(cur, cur.node_addr(), false, false);
+                    // L148–149: step 2 — acknowledge linearization and
+                    // hand the owner its value node.
+                    self.state[tid].cas_ctrl(cur, next as usize, false, false);
                 }
-                inject!("kp.swing_head");
-                // L150: step 3 — fix head. The winner owns the unlinked
-                // sentinel's retirement: it goes to the winner's reuse
-                // cache (or the epoch collector), which holds it until
-                // no pin that could observe it remains.
+                inject!(R::SITES.swing_head);
+                // L150: step 3 — fix head. The winner retires the
+                // removed sentinel (§3.4's "RetireNode at the end of
+                // help_deq" point), which the backend holds until no
+                // reader that could observe it remains.
                 if self
                     .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
+                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
                 {
                     // SAFETY: `first` is now unreachable from the queue
                     // and retired exactly once (by the unique CAS winner).
-                    unsafe { self.retire(first, guard, cache, helper) };
+                    unsafe { self.retire(local, guard, first, helper) };
                 }
             }
         }
+        R::clear(local, H_NEXT);
     }
 
-    /// Hands a sentinel unlinked by `helper`'s winning head swing to
-    /// its retire cache, counting an overflow against `helper`.
+    /// Retires a sentinel unlinked by `helper`'s winning head swing,
+    /// counting a recycling overflow against `helper`.
     ///
     /// # Safety
     ///
-    /// As for [`RetireCache::push`]: `node` is unlinked and retired
+    /// As for `Backend::retire`: `node` is unlinked and retired
     /// exactly once.
     unsafe fn retire(
         &self,
-        node: Shared<'_, Node<T>>,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
+        node: *mut Node<T>,
         helper: usize,
     ) {
         // SAFETY: forwarded from the caller.
-        if unsafe { cache.push(node.as_raw() as *mut Node<T>, guard, &self.pool) } {
+        if unsafe { R::retire(local, guard, node, &self.pool) } {
             self.stats[helper].cache_overflows.bump();
         }
     }
@@ -621,37 +621,38 @@ impl<T: Send> WfQueue<T> {
     /// so the slot must not be retired before the tail passed it), win
     /// the [`StateSlot::try_retire`] election, and only as the election
     /// winner perform the two destructive steps: claim-and-discard an
-    /// unclaimed dequeue result, and quarantine the victim's wedged
-    /// epoch pin. Finally the lease is returned to the pool
-    /// (`finish_reap`), making the virtual ID acquirable again.
+    /// unclaimed dequeue result, and quarantine the victim's
+    /// reclamation participation (`Backend::quarantine`). Finally the
+    /// lease is returned to the pool (`finish_reap`), making the
+    /// virtual ID acquirable again.
     ///
     /// [`StateSlot::try_retire`]: crate::desc::StateSlot::try_retire
     pub(crate) fn reap_slot(
         &self,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
         victim: usize,
         generation: u64,
         helper: usize,
-        guard: &Guard,
-        cache: &mut RetireCache<T>,
     ) {
-        inject!("kp.reap.adopt");
+        inject!(R::SITES.reap_adopt);
         let (w0, phase0) = self.state[victim].view(Ordering::SeqCst);
         let was_pending = w0.pending();
         let me = &self.stats[helper];
         if was_pending {
             me.reap_adoptions.bump();
             if w0.enqueue() {
-                self.help_enq(victim, phase0, helper, guard);
+                self.help_enq(local, victim, phase0, helper);
             } else {
-                self.help_deq(victim, phase0, helper, guard, cache);
+                self.help_deq(local, guard, victim, phase0, helper);
             }
         }
         // The L91 wedge: the tail must move past any node the victim's
         // descriptor references before the descriptor may be blanked
-        // (same argument as `WfHandle::drop`). Head driven for symmetry.
-        self.help_finish_enq(guard);
-        self.help_finish_deq(guard, cache, helper);
-        inject!("kp.reap.retire");
+        // (same argument as `KpHandle::drop`). Head driven for symmetry.
+        self.help_finish_enq(local);
+        self.help_finish_deq(local, guard, helper);
+        inject!(R::SITES.reap_retire);
         let w1 = self.state[victim].load_ctrl(Ordering::SeqCst);
         if w1.pending() {
             // Only reachable if the "dead" owner published a new
@@ -668,83 +669,36 @@ impl<T: Send> WfQueue<T> {
             // and skips both.
             if was_pending && !w1.enqueue() && !w1.node_is_null() {
                 // The victim died mid-dequeue and the operation
-                // completed non-empty during *this* reap (we observed
-                // it pending under `guard`). Nobody will ever run the
-                // owner's epilogue: claim and discard the value so
-                // conservation stays exact.
-                //
-                // SAFETY: `w1` names the sentinel the adopted dequeue
-                // locked. We observed the op pending under our pin, so
-                // its step-3 head swing — the retirement point — is
-                // ordered after our pin began and the node (and its
-                // successor) outlives `guard`. The try_retire election
-                // makes us the unique claimant, re-establishing the
-                // deq_tid-uniqueness take argument of
-                // `WfHandle::read_deq_result`.
+                // completed non-empty during *this* reap. Nobody will
+                // ever run the owner's epilogue: claim and discard the
+                // value so conservation stays exact, completing the
+                // consumption exactly as the owner would.
                 let node = w1.node_ptr::<Node<T>>();
-                // SAFETY: liveness per the block comment above — the
-                // node outlives `guard`.
-                let next = unsafe { &*node }.next.load(Ordering::Acquire, guard);
-                debug_assert!(!next.is_null(), "locked sentinel must have a successor");
-                // SAFETY: as above; each value is taken exactly once.
-                let value = unsafe { (*next.deref().value.get()).take() };
-                debug_assert!(value.is_some(), "reaped dequeue result already taken");
-                drop(value);
-            }
-            // Quarantine the victim's epoch participation, but only
-            // when it is actually wedged (a pin leaked at death). An
-            // unpinned participant needs nothing: a live pin() re-reads
-            // the global epoch, and a dead thread's TLS destructor
-            // already deregistered it. The swap also prevents a later
-            // reap of this slot's next lease from acting on a stale
-            // token.
-            let token = self.epoch_tokens[victim].swap(0, Ordering::SeqCst);
-            // `token == participant_token()`: the victim handle last ran
-            // on *this* OS thread (epoch participation is per-thread,
-            // and several virtual ids can share a thread). Our own
-            // participant is pinned right now — by us, the reaper — not
-            // wedged by the dead handle; quarantining it would erase our
-            // live pin. Skip: nothing is wedged in that case.
-            //
-            // The publisher scan generalizes that to *any* live handle
-            // sharing the victim's OS thread: a handle publishes its
-            // token (op_prologue) before it pins, so a handle currently
-            // inside an operation on that thread is visible in some
-            // other `epoch_tokens` slot — its pin is live, not wedged,
-            // and must not be erased. Two reapers racing on two
-            // abandoned slots that share a token cannot *both* skip:
-            // each swaps its victim's slot to 0 before scanning
-            // (SeqCst), so at least one scan runs after both swaps and
-            // finds no publisher. A double quarantine is idempotent.
-            // Residual window: a brand-new handle's first publish on
-            // the victim's thread racing this scan — see DESIGN.md
-            // §13.4 (the wall-clock reap floor makes it require a
-            // patience-window-long preemption inside a few-instruction
-            // prologue).
-            let shared_by_live_handle = || {
-                self.epoch_tokens
-                    .iter()
-                    .enumerate()
-                    .any(|(i, t)| i != victim && t.load(Ordering::SeqCst) == token)
-            };
-            if token != 0
-                && token != epoch::participant_token()
-                && !shared_by_live_handle()
-                && epoch::participant_is_pinned(token)
-            {
-                // SAFETY: the lease revocation (begin_reap/takeover)
-                // poisons the handle — a surviving owner's next op
-                // panics before touching the queue — so the
-                // participant is never used for this queue again;
-                // using it from *another* queue on the same (dead by
-                // contract) thread is the documented lease-contract
-                // violation (DESIGN.md §13).
-                if unsafe { epoch::quarantine_participant(token) } {
-                    me.quarantines.bump();
+                // SAFETY (liveness): we observed the op pending at
+                // entry, so the step-2 hand-off of `node` happened
+                // during this reap — under our epoch pin, and before
+                // anyone consumed the node (the hazard gate's CONSUMED
+                // token is set only by the completed word's owner), so
+                // the backend keeps it allocated. SAFETY (uniqueness):
+                // the try_retire election makes us the unique claimant,
+                // re-establishing the single-owner take argument of
+                // `KpHandle::read_deq_result`.
+                unsafe {
+                    let value = (*(*node).value.get()).take();
+                    debug_assert!(value.is_some(), "reaped dequeue result already taken");
+                    drop(value);
+                    R::consume(node, &self.pool);
                 }
             }
+            // The swap prevents a later reap of this slot's next lease
+            // from acting on a stale token.
+            let token = self.tokens[victim].swap(0, Ordering::SeqCst);
+            // SAFETY: lease revoked and election won (see above).
+            if token != 0 && unsafe { R::quarantine(&self.reclaim, &self.tokens, victim, token) } {
+                me.quarantines.bump();
+            }
         }
-        inject!("kp.reap.finish");
+        inject!(R::SITES.reap_finish);
         if self.ids.finish_reap(victim, generation) {
             me.reaps.bump();
         }
@@ -773,52 +727,50 @@ impl<T: Send> WfQueue<T> {
     /// the caller's, whose counter block the attempt writes.
     pub(crate) fn try_fast_enqueue(
         &self,
+        local: &R::HandleState<'_, T>,
         node: *mut Node<T>,
         budget: usize,
         inflight: &mut *mut Node<T>,
         tid: usize,
-        guard: &Guard,
     ) -> bool {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
-        let new = Shared::from(node as *const Node<T>);
         for _ in 0..budget {
-            inject!("kp.fast.enq");
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `help_enq` — tail is never null and our pin
-            // defers retirement/reuse of any node it reaches.
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard);
-            if last != self.tail.load(Ordering::SeqCst, guard) {
+            inject!(R::SITES.fast_enq);
+            let last = R::protect(local, H_NODE, &self.tail);
+            // SAFETY: as in `help_enq` — a node still reachable as tail
+            // cannot be retired or recycled while protected, so its
+            // `next` is write-once during the window below.
+            let next = unsafe { (*last).next.load(Ordering::SeqCst) };
+            if last != self.tail.load(Ordering::SeqCst) {
                 continue;
             }
             if next.is_null() {
-                if last_ref
-                    .next
-                    .compare_exchange(
-                        Shared::null(),
-                        new,
+                // SAFETY: `last` is protected.
+                if unsafe {
+                    (*last).next.compare_exchange(
+                        ptr::null_mut(),
+                        node,
                         Ordering::SeqCst,
                         Ordering::Relaxed,
-                        guard,
                     )
-                    .is_ok()
+                }
+                .is_ok()
                 {
                     // Linearized (the shared L74 append point); the
                     // node is public now — recovery must not free it.
-                    *inflight = std::ptr::null_mut();
+                    *inflight = ptr::null_mut();
                     self.stats[tid].appends_total.bump();
-                    inject!("kp.fast.swing_tail");
+                    inject!(R::SITES.fast_swing_tail);
                     // Step 3, best effort: any helper's
                     // help_finish_enq (FAST_ENQUEUER branch) also
                     // swings the tail past our node.
                     let _ = self.tail.compare_exchange(
                         last,
-                        new,
+                        node,
                         Ordering::SeqCst,
                         Ordering::Relaxed,
-                        guard,
                     );
                     return true;
                 }
@@ -827,139 +779,154 @@ impl<T: Send> WfQueue<T> {
                 // finish that enqueue first, exactly like L79–80 — this
                 // is what keeps a slow-path append's step-2-before-
                 // step-3 order intact when fast ops race it.
-                self.help_finish_enq(guard);
+                self.help_finish_enq(local);
             }
         }
         false
     }
 
     /// Test infrastructure (reached through the `#[doc(hidden)]`
-    /// `WfHandle::fast_append_unswung`): performs the fast-path append
+    /// `KpHandle::fast_append_unswung`): performs the fast-path append
     /// CAS and then deliberately **skips** the step-3 tail swing,
     /// leaving the tail lagging — the exact shared state a thread
-    /// killed at `kp.fast.swing_tail` leaves behind when nothing runs
-    /// its unwind recovery (sudden death). The value *is* linearized
-    /// (the append CAS is the linearization point). Loops until the
-    /// append lands so the resulting wedge is deterministic.
-    pub(crate) fn append_no_swing(&self, node: *mut Node<T>, tid: usize, guard: &Guard) {
+    /// killed at the `fast.swing_tail` site leaves behind when nothing
+    /// runs its unwind recovery (sudden death). The value *is*
+    /// linearized (the append CAS is the linearization point). Loops
+    /// until the append lands so the resulting wedge is deterministic.
+    pub(crate) fn append_no_swing(
+        &self,
+        local: &R::HandleState<'_, T>,
+        node: *mut Node<T>,
+        tid: usize,
+    ) {
         // SAFETY: the caller owns `node` exclusively until the append
         // CAS publishes it.
         debug_assert_eq!(unsafe { &*node }.enq_tid, FAST_ENQUEUER);
-        let new = Shared::from(node as *const Node<T>);
         loop {
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `try_fast_enqueue` — tail is never null and
-            // our pin defers retirement/reuse of any node it reaches.
-            let last_ref = unsafe { last.deref() };
-            let next = last_ref.next.load(Ordering::SeqCst, guard);
-            if last != self.tail.load(Ordering::SeqCst, guard) {
+            let last = R::protect(local, H_NODE, &self.tail);
+            // SAFETY: as in `try_fast_enqueue`.
+            let next = unsafe { (*last).next.load(Ordering::SeqCst) };
+            if last != self.tail.load(Ordering::SeqCst) {
                 continue;
             }
             if next.is_null() {
-                if last_ref
-                    .next
-                    .compare_exchange(
-                        Shared::null(),
-                        new,
+                // SAFETY: `last` is protected.
+                if unsafe {
+                    (*last).next.compare_exchange(
+                        ptr::null_mut(),
+                        node,
                         Ordering::SeqCst,
                         Ordering::Relaxed,
-                        guard,
                     )
-                    .is_ok()
+                }
+                .is_ok()
                 {
                     self.stats[tid].appends_total.bump();
+                    R::clear(local, H_NODE);
                     return;
                 }
             } else {
-                self.help_finish_enq(guard);
+                self.help_finish_enq(local);
             }
         }
     }
 
     /// Bounded lock-free dequeue attempt. Linearizes either empty (the
-    /// Michael–Scott `head == tail && next == null` check, head-
-    /// validated) or by CASing the sentinel's `deqTid` from
-    /// `NO_DEQUEUER` to `FAST_DEQUEUER` — the same lock word slow-path
-    /// dequeues use (L135), so the two paths serialize on the
-    /// sentinel: a slow-path stage-1 lock blocks the fast path and
-    /// vice versa. Lock success proves the sentinel was never dequeued
-    /// and hence is still the head, making the value transfer uniquely
-    /// ours.
+    /// Michael–Scott `head == tail && next == null` check) or by CASing
+    /// the sentinel's `deqTid` from `NO_DEQUEUER` to `FAST_DEQUEUER` —
+    /// the same lock word slow-path dequeues use (L135), so the two
+    /// paths serialize on the sentinel: a slow-path stage-1 lock blocks
+    /// the fast path and vice versa. Lock success proves the sentinel
+    /// was never dequeued and hence is still the head, making the value
+    /// transfer uniquely ours.
     pub(crate) fn try_fast_dequeue(
         &self,
+        local: &mut R::HandleState<'_, T>,
+        guard: &R::Guard,
         budget: usize,
-        cache: &mut RetireCache<T>,
         tid: usize,
-        guard: &Guard,
     ) -> FastDeq<T> {
         for _ in 0..budget {
-            inject!("kp.fast.deq");
-            let first = self.head.load(Ordering::SeqCst, guard);
-            let last = self.tail.load(Ordering::SeqCst, guard);
-            // SAFETY: as in `help_deq` — head is never null; sentinel
-            // retirement is deferred past our pin.
-            let first_ref = unsafe { first.deref() };
-            let next = first_ref.next.load(Ordering::SeqCst, guard);
-            if first != self.head.load(Ordering::SeqCst, guard) {
+            inject!(R::SITES.fast_deq);
+            let first = R::protect(local, H_NODE, &self.head);
+            let last = self.tail.load(Ordering::SeqCst);
+            // SAFETY: as in `help_deq` — head is never null and `first`
+            // is protected, so its `next` is write-once meanwhile.
+            let next = unsafe { (*first).next.load(Ordering::SeqCst) };
+            // Protect `next` before any dereference: while `first` is
+            // still the head, `next` cannot have been retired.
+            if !R::protect_next(local, next, &self.head, first) {
+                R::clear(local, H_NEXT);
                 continue;
             }
             if first == last {
+                R::clear(local, H_NEXT);
                 if next.is_null() {
                     // Empty: linearizes at the `next` load above (the
                     // L115–120 shape without a descriptor record).
+                    // `first` was the head when protected and its `next`
+                    // is still null, so nothing was appended after it
+                    // and head cannot have moved past it: at that load
+                    // head == tail == first with no successor.
                     self.stats[tid].empty_dequeues.bump();
                     return FastDeq::Done(None);
                 }
                 // An enqueue is mid-flight; help it land first
                 // (L122–123).
-                self.help_finish_enq(guard);
+                self.help_finish_enq(local);
                 continue;
             }
-            if first_ref
-                .deq_tid
-                .compare_exchange(
+            // SAFETY: `first` is protected.
+            let locked = unsafe {
+                (*first).deq_tid.compare_exchange(
                     NO_DEQUEUER,
                     FAST_DEQUEUER,
                     Ordering::SeqCst,
                     Ordering::Relaxed,
                 )
-                .is_ok()
-            {
-                // Step 1 won: the dequeue is linearized.
+            }
+            .is_ok();
+            if locked {
+                // Step 1 won: the dequeue is linearized and we are the
+                // unique taker of the successor's value.
                 self.stats[tid].locks_total.bump();
-                // SAFETY: a locked sentinel's `next` is immutable and
-                // kept live by our pin; the lock made us the unique
-                // taker of its successor's value (a node's value is
-                // taken exactly once, by whoever locks its
-                // predecessor).
-                let next_ref = unsafe { next.deref() };
-                // SAFETY: value uniqueness — see the lock argument
-                // above; the enqueuer's write is released by its append
-                // CAS and acquired by our SeqCst next load.
-                let taken = unsafe { (*next_ref.value.get()).take() };
+                // SAFETY: `next` is protected (a locked sentinel's
+                // `next` is immutable, and `first` was never dequeued
+                // before our lock, so `next` is its successor); the
+                // lock's uniqueness gives the value take exclusivity (a
+                // node's value is taken exactly once, by whoever locks
+                // its predecessor). The enqueuer's write is released by
+                // its append CAS and acquired by our SeqCst next load.
+                let taken = unsafe { (*(*next).value.get()).take() };
                 // Checked in release builds on purpose: an invariant
                 // break here (e.g. a reap-path double-take) must panic,
                 // never become UB. The branch is perfectly predicted.
                 let value =
                     taken.expect("fast-locked sentinel's successor must hold a value");
-                inject!("kp.fast.swing_head");
+                // The value node is consumed here, exactly as the slow
+                // owner's epilogue would.
+                // SAFETY: we are the unique taker (see above).
+                unsafe { R::consume(next, &self.pool) };
+                inject!(R::SITES.fast_swing_head);
                 // Step 3, best effort: a helper's help_finish_deq
                 // (FAST_DEQUEUER branch) also swings; the CAS winner
                 // owns the sentinel's retirement.
                 if self
                     .head
-                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed, guard)
+                    .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
                 {
                     // SAFETY: `first` is now unreachable and retired
                     // exactly once (by the unique CAS winner).
-                    unsafe { self.retire(first, guard, cache, tid) };
+                    unsafe { self.retire(local, guard, first, tid) };
                 }
+                R::clear(local, H_NEXT);
                 return FastDeq::Done(Some(value));
             }
             // Lost the lock to a concurrent dequeue (fast or slow):
             // complete it so head advances, then retry.
-            self.help_finish_deq(guard, cache, tid);
+            R::clear(local, H_NEXT);
+            self.help_finish_deq(local, guard, tid);
         }
         FastDeq::Exhausted
     }
@@ -974,15 +941,18 @@ pub(crate) enum FastDeq<T> {
     Exhausted,
 }
 
-impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
+impl<T: Send, R: Reclaim> ConcurrentQueue<T> for KpQueue<T, R> {
     type Handle<'a>
-        = WfHandle<'a, T>
+        = KpHandle<'a, T, R>
     where
         T: 'a;
 
     fn register(&self) -> Result<Self::Handle<'_>, RegistrationError> {
         match self.ids.acquire() {
-            Some(id) => Ok(WfHandle::new(self, id)),
+            Some(id) => {
+                let local = R::enter(&self.reclaim, &self.tokens[id.id()]);
+                Ok(KpHandle::new(self, id, local))
+            }
             None => Err(RegistrationError {
                 capacity: self.max_threads(),
             }),
@@ -1011,28 +981,28 @@ impl<T: Send> ConcurrentQueue<T> for WfQueue<T> {
     }
 }
 
-impl<T> Drop for WfQueue<T> {
+impl<T, R: Reclaim> Drop for KpQueue<T, R> {
     fn drop(&mut self) {
         // Exclusive access: free the node list (values still resident
-        // are dropped with their nodes). Descriptors are in-place slot
-        // words now — nothing to free.
-        // SAFETY: `&mut self` — no thread can still be pinned in this queue.
-        let guard = unsafe { epoch::unprotected() };
-        let mut cur = self.head.load(Ordering::Relaxed, guard);
+        // are dropped with their nodes; consumed ones are `None`).
+        // Descriptors are in-place slot words — nothing to free. Retired
+        // nodes are owned by the backend (epoch collector or hazard
+        // domain), pooled ones by the pool; both drop after this body.
+        let mut cur = *self.head.get_mut();
         while !cur.is_null() {
-            // SAFETY: exclusive access; list nodes are owned by the list.
-            let node = unsafe { cur.into_owned() };
-            cur = node.next.load(Ordering::Relaxed, guard);
+            // SAFETY: exclusive access; list nodes are owned by the list
+            // and were boxed at birth.
+            let node = unsafe { Box::from_raw(cur) };
+            cur = node.next.load(Ordering::Relaxed);
         }
     }
 }
 
-impl<T: Send> std::fmt::Debug for WfQueue<T> {
+impl<T: Send, R: Reclaim> std::fmt::Debug for KpQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WfQueue")
+        f.debug_struct(R::NAME)
             .field("max_threads", &self.max_threads())
             .field("config", &self.config)
-            .field("len_approx", &self.len_approx())
             .finish()
     }
 }

@@ -33,11 +33,10 @@ use std::ptr;
 use crossbeam_epoch::{self as epoch, Guard, Shared};
 
 use crate::node::Node;
-use crate::pool::{NodePool, PoolNode};
+use crate::pool::{NodePool, PoolNode, Spare};
 
-/// Upper bound on cached nodes per handle; beyond it (or with
-/// `Config::reuse_nodes` off) retired nodes fall back to the epoch
-/// collector.
+/// Upper bound on cached nodes per handle; beyond it retired nodes fall
+/// back to the epoch collector.
 const CACHE_CAP: usize = 256;
 
 /// Cache length from which the mature front spills to the shared pool.
@@ -49,23 +48,21 @@ const SPILL_AT: usize = CACHE_CAP / 2;
 /// nodes last stolen from the shared pool.
 pub(crate) struct RetireCache<T> {
     nodes: VecDeque<(usize, *mut Node<T>)>,
-    /// Mature nodes stolen from the pool, linked through `next`.
-    spare: *mut Node<T>,
-    reuse: bool,
+    /// Mature nodes stolen from the pool.
+    spare: Spare<Node<T>>,
 }
 
-// SAFETY: every cached or spare node is unlinked from the queue and
-// exclusively owned by this cache (the `push` and `NodePool::steal`
-// contracts); moving the cache — inside its handle — to another thread
-// moves that ownership with it.
+// SAFETY: every cached node is unlinked from the queue and exclusively
+// owned by this cache (the `push` contract), as is the spare chain;
+// moving the cache — inside its handle — to another thread moves that
+// ownership with it.
 unsafe impl<T: Send> Send for RetireCache<T> {}
 
 impl<T> RetireCache<T> {
-    pub(crate) fn new(reuse: bool) -> Self {
+    pub(crate) fn new() -> Self {
         RetireCache {
-            nodes: VecDeque::with_capacity(if reuse { CACHE_CAP } else { 0 }),
-            spare: ptr::null_mut(),
-            reuse,
+            nodes: VecDeque::with_capacity(CACHE_CAP),
+            spare: Spare::new(),
         }
     }
 
@@ -73,13 +70,11 @@ impl<T> RetireCache<T> {
     /// first spilling the mature front to `pool` if the cache is at
     /// least half full.
     ///
-    /// Returns `true` when the node **overflowed**: reuse is on but the
-    /// cache is full and its front has not matured, so the node was
-    /// pushed out to the epoch collector instead of cached. This is the
-    /// memory-pressure backpressure signal (DESIGN.md §13) — callers
-    /// count it in `Stats::cache_overflows`. A deferral with reuse
-    /// disabled is the configured behaviour, not pressure, and returns
-    /// `false`.
+    /// Returns `true` when the node **overflowed**: the cache is full
+    /// and its front has not matured, so the node was pushed out to the
+    /// epoch collector instead of cached. This is the memory-pressure
+    /// backpressure signal (DESIGN.md §13) — callers count it in
+    /// `Stats::cache_overflows`.
     ///
     /// # Safety
     ///
@@ -92,11 +87,6 @@ impl<T> RetireCache<T> {
         guard: &Guard,
         pool: &NodePool<Node<T>>,
     ) -> bool {
-        if !self.reuse {
-            // SAFETY: forwarded from the caller.
-            unsafe { guard.defer_destroy(Shared::from(node as *const Node<T>)) };
-            return false;
-        }
         if self.nodes.len() >= SPILL_AT && self.ripen() {
             self.spill(pool);
         }
@@ -177,16 +167,7 @@ impl<T> RetireCache<T> {
         if self.ripen() {
             return self.nodes.pop_front().map(|(_, node)| node);
         }
-        if self.spare.is_null() {
-            self.spare = pool.steal();
-        }
-        let node = self.spare;
-        if node.is_null() {
-            return None;
-        }
-        // SAFETY: spares form a chain this cache stole and owns.
-        self.spare = unsafe { (*node).free_next() };
-        Some(node)
+        self.spare.pop(pool)
     }
 
     /// Handle exit: returns the mature front and the spares to `pool`
@@ -198,22 +179,7 @@ impl<T> RetireCache<T> {
             // `push` contract), and we are giving up reuse of them.
             unsafe { guard.defer_destroy(Shared::from(node as *const Node<T>)) };
         }
-        let first = std::mem::replace(&mut self.spare, ptr::null_mut());
-        if first.is_null() {
-            return;
-        }
-        let (mut last, mut n) = (first, 1);
-        loop {
-            // SAFETY: the spare chain is ours alone.
-            let next = unsafe { (*last).free_next() };
-            if next.is_null() {
-                break;
-            }
-            last = next;
-            n += 1;
-        }
-        // SAFETY: as above; spares are mature.
-        unsafe { pool.push_chain(first, last, n) };
+        self.spare.give_back(pool);
     }
 
     #[cfg(test)]
@@ -232,8 +198,8 @@ mod tests {
 
     #[test]
     fn nodes_mature_after_two_epoch_advances() {
-        let pool = NodePool::new(true);
-        let mut cache: RetireCache<u32> = RetireCache::new(true);
+        let pool = NodePool::new();
+        let mut cache: RetireCache<u32> = RetireCache::new();
         let node = fresh(1);
         let guard = epoch::pin();
         // SAFETY: `node` is freshly leaked and unreachable from any queue.
@@ -257,9 +223,9 @@ mod tests {
 
     #[test]
     fn half_full_cache_spills_its_mature_front_to_the_pool() {
-        let pool = NodePool::new(true);
-        let mut consumer: RetireCache<u32> = RetireCache::new(true);
-        let mut producer: RetireCache<u32> = RetireCache::new(true);
+        let pool = NodePool::new();
+        let mut consumer: RetireCache<u32> = RetireCache::new();
+        let mut producer: RetireCache<u32> = RetireCache::new();
         for v in 0..SPILL_AT as u32 {
             let guard = epoch::pin();
             // SAFETY: freshly leaked, unreachable from any queue.
@@ -284,17 +250,5 @@ mod tests {
         let guard = epoch::pin();
         consumer.drain(&guard, &pool);
         producer.drain(&guard, &pool);
-    }
-
-    #[test]
-    fn reuse_off_defers_to_the_collector() {
-        let pool = NodePool::new(false);
-        let mut cache: RetireCache<u32> = RetireCache::new(false);
-        let guard = epoch::pin();
-        // SAFETY: as in the test above; the collector takes ownership.
-        unsafe { cache.push(fresh(2), &guard, &pool) };
-        assert_eq!(cache.len(), 0, "nothing cached with reuse disabled");
-        assert!(cache.pop(&pool).is_none());
-        drop(guard);
     }
 }

@@ -77,12 +77,13 @@ fn steady_state_is_allocation_free() {
     drop(h);
     drop(q);
 
-    // --- Epoch variant, split producer/consumer ---------------------
+    // --- Split producer/consumer, both variants -------------------
     // The channel's shape: one thread only enqueues, another only
     // dequeues. The consumer retires every node and the producer never
-    // does, so recycling has to cross handles: the consumer's cache
-    // spills mature nodes into the queue's shared pool and the
-    // producer steals them. Without that every message allocates.
+    // does, so recycling has to cross handles: the consumer's retired
+    // nodes reach the queue's shared pool (epoch: its cache spills the
+    // mature front; HP: the token gate releases them) and the producer
+    // steals them. Without that every message allocates.
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
     let allocs = split_window_allocs(&q);
     assert!(
@@ -91,43 +92,64 @@ fn steady_state_is_allocation_free() {
          {SPLIT_WINDOW} messages (bound: 0.1 per message)"
     );
     drop(q);
+    let q: WfQueueHp<u64> = WfQueueHp::with_config(2, Config::fast());
+    let allocs = split_window_allocs(&q);
+    assert!(
+        allocs * 10 < SPLIT_WINDOW,
+        "HP variant, split producer/consumer: {allocs} allocations in \
+         {SPLIT_WINDOW} messages (bound: 0.1 per message)"
+    );
+    drop(q);
 
-    // --- Epoch variant, alternating batches -------------------------
+    // --- Alternating batches, both variants -------------------------
     // The channel's batched shape: one thread enqueues a 256-value
     // batch, then the other dequeues it, taking turns. Each batch runs
-    // under one handle call, so the consumer retires 256 sentinels in
-    // one call; unless that call renews its pin, none of them can
-    // mature before it returns, the consumer's cache overflows to the
-    // collector, and the producer allocates about every other node.
+    // under one handle call, so the epoch consumer retires 256
+    // sentinels in one call; unless that call renews its pin, none of
+    // them can mature before it returns, the consumer's cache overflows
+    // to the collector, and the producer allocates about every other
+    // node.
+    let values = BATCH_ROUNDS * BATCH as u64;
     let q: WfQueue<u64> = WfQueue::with_config(2, Config::fast());
     let allocs = alternating_batch_allocs(&q);
-    let values = BATCH_ROUNDS * BATCH as u64;
     assert!(
         allocs * 100 < values,
         "epoch variant, alternating batches: {allocs} allocations in \
          {values} values (bound: 0.01 per value)"
     );
     drop(q);
+    // The HP consumer's retirements reach the pool through hazard scans
+    // as it goes, but the pool's cap (`POOL_CAP = 256`) equals the batch
+    // size: the nodes a 256-value batch releases do not all fit beside
+    // the ones the producer has not stolen yet, and the surplus is freed,
+    // so the producer allocates that many afresh — 1,496 in the 102,400
+    // measured values (0.0146 per value); a 512-node cap measures 0. The
+    // pool sizing is an open item of ROADMAP.md, so the bound sits just
+    // above that cost.
+    let q: WfQueueHp<u64> = WfQueueHp::with_config(2, Config::fast());
+    let allocs = alternating_batch_allocs(&q);
+    assert!(
+        allocs * 50 < values,
+        "HP variant, alternating batches: {allocs} allocations in \
+         {values} values (bound: 0.02 per value)"
+    );
+    drop(q);
 
-    // --- Reuse OFF must still allocate (the guard guards something) -
-    let q: WfQueue<u64> = WfQueue::with_config(2, Config::opt_both().with_reuse(false));
-    let mut h = q.register().unwrap();
-    for i in 0..WARMUP as u64 {
-        h.enqueue(i);
-        assert!(h.dequeue().is_some());
-    }
+    // --- The counter counts (the guard guards something) ------------
+    // Every zero above is only as good as the tracking allocator: one
+    // `Box::new` per iteration must read as exactly one allocation per
+    // iteration.
+    let mut sink = Vec::with_capacity(WINDOW);
     let mut i = 0u64;
     let allocs = measure(|| {
-        h.enqueue(i);
-        assert!(h.dequeue().is_some());
+        sink.push(std::hint::black_box(Box::new(i)));
         i += 1;
     });
-    assert!(
-        allocs >= WINDOW,
-        "with reuse disabled every enqueue should heap-allocate a node (saw {allocs})"
+    assert_eq!(
+        allocs, WINDOW,
+        "the tracking allocator must count one allocation per Box::new"
     );
-    drop(h);
-    drop(q);
+    drop(sink);
 
     // --- Multi-threaded bounds --------------------------------------
     // The two variants give different guarantees under contention, and
@@ -200,7 +222,11 @@ const SPLIT_CREDIT: u64 = 256;
 /// `SPLIT_WARMUP + SPLIT_WINDOW` values, the producer at most
 /// `SPLIT_CREDIT` ahead; returns the process-wide heap allocations the
 /// consumer saw across the last `SPLIT_WINDOW` of them.
-fn split_window_allocs(q: &WfQueue<u64>) -> u64 {
+fn split_window_allocs<Q>(q: &Q) -> u64
+where
+    Q: ConcurrentQueue<u64> + Sync,
+{
+    use kp_queue::QueueHandle;
     use kp_sync::atomic::{AtomicU64, Ordering};
     let total = SPLIT_WARMUP + SPLIT_WINDOW;
     let received = AtomicU64::new(0);
@@ -247,7 +273,11 @@ const BATCH_ROUNDS: u64 = 400;
 /// `dequeue_batch`es them, turns passed through an atomic, for
 /// `BATCH_WARMUP_ROUNDS + BATCH_ROUNDS` rounds; returns the
 /// process-wide heap allocations across the last `BATCH_ROUNDS`.
-fn alternating_batch_allocs(q: &WfQueue<u64>) -> u64 {
+fn alternating_batch_allocs<Q>(q: &Q) -> u64
+where
+    Q: ConcurrentQueue<u64> + Sync,
+{
+    use kp_queue::QueueHandle;
     use kp_sync::atomic::{AtomicU64, Ordering};
     let rounds = BATCH_WARMUP_ROUNDS + BATCH_ROUNDS;
     // Even: the producer's turn for round `turn / 2`; odd: the consumer's.
@@ -265,7 +295,7 @@ fn alternating_batch_allocs(q: &WfQueue<u64>) -> u64 {
                 wait_for(2 * r);
                 let first = r * BATCH as u64;
                 batch.extend(first..first + BATCH as u64);
-                assert_eq!(h.enqueue_batch(&mut batch), BATCH);
+                assert_eq!(h.try_enqueue_batch(&mut batch), BATCH);
                 turn.store(2 * r + 1, Ordering::Release);
             }
         });

@@ -6,7 +6,8 @@
 #   3. atomics audit: every atomic call site and unsafe occurrence must
 #      match ATOMICS.toml (see DESIGN.md SS11), plus a self-test that the
 #      gate actually fails on an undocumented atomic
-#   4. the epoch shim's unit tests (tier-1 covers only the root package)
+#   4. the epoch shim's unit tests and kp-queue's full suite (tier-1
+#      covers only the root package)
 #   5. a short seeded chaos-torture smoke (fault-injection suite with a
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
 #   6. a time-capped kill/restart soak of the reaper rounds
@@ -54,13 +55,20 @@ echo "=== epoch shim (shims/crossbeam-epoch) ==="
 # global epoch), quarantine, and participant tokens.
 cargo test -p crossbeam-epoch --release -q
 
+echo "=== kp-queue engine (crates/kp-queue) ==="
+# The Kogan-Petrank core and both reclamation backends: every unit suite
+# (descriptor packing, pool, retire cache, epoch and hazard-pointer
+# queues) and the allocation-regression gate (alloc_regression.rs).
+cargo test -p kp-queue --release -q
+
 echo "=== chaos smoke (seeded fault injection) ==="
 cargo test --features chaos --release -q --test torture
 
 echo "=== fast-path matrix (DESIGN.md SS12) ==="
-# The fast-path/slow-path split, end to end: unit suites in both
-# variants, the harness fast variants, mixed fast/slow linearizability
-# rounds, and the mid-demotion crash cases from the chaos suite.
+# The fast-path/slow-path split, end to end: the kp-queue unit tests
+# whose names mention `fast` (both reclamation backends), the harness
+# fast variants, mixed fast/slow linearizability rounds, and the
+# mid-demotion crash cases from the chaos suite.
 cargo test -p kp-queue --release -q fast
 cargo test -p harness --release -q --lib fast
 cargo test --release -q --test linearizability wf_fast
@@ -123,6 +131,9 @@ echo "=== perfbench (BENCHMARK.json) ==="
 # traced run of each workload, which must exit 0: a delivery violation
 # exits 1. perfbench refuses to run on fewer than 2 cores, because
 # every workload keeps two threads busy.
+# Built first on every host, so even a 1-core host catches a break in
+# the kp_queue API the benchmark compiles against.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 if [ "$(nproc)" -lt 2 ]; then
     echo "perfbench: SKIPPED -- $(nproc) core(s) in the affinity mask, perfbench needs 2"
 else

@@ -137,18 +137,16 @@ HT = "crates/hazard/src/tests.rs"
 HI = "crates/hazard/tests/integration.rs"
 ID = "crates/idpool/src/lib.rs"
 DESC = "crates/kp-queue/src/desc.rs"
-HA = "crates/kp-queue/src/handle.rs"
 Q = "crates/kp-queue/src/queue.rs"
+EP = "crates/kp-queue/src/epoch.rs"
+HZ = "crates/kp-queue/src/hazard.rs"
 ST = "crates/kp-queue/src/stats.rs"
 QT = "crates/kp-queue/src/tests.rs"
 NO = "crates/kp-queue/src/node.rs"
 AR = "crates/kp-queue/tests/alloc_regression.rs"
 EX = "crates/kp-queue/examples/hp_stress_probe.rs"
-HH = "crates/kp-queue/src/hp/handle.rs"
 PO = "crates/kp-queue/src/pool.rs"
-HQ = "crates/kp-queue/src/hp/queue.rs"
-HTY = "crates/kp-queue/src/hp/types.rs"
-HTE = "crates/kp-queue/src/hp/tests.rs"
+HTE = "crates/kp-queue/src/hp_tests.rs"
 CH = "crates/kp-channel/src/lib.rs"
 PK = "crates/kp-channel/src/park.rs"
 OV = "crates/kp-channel/src/overload.rs"
@@ -250,91 +248,92 @@ TABLE = {
         sc="the retirement must enter the single total order with helpers' SeqCst pending checks, or a helper could act on a blanked descriptor (and two stale-word reapers could both win the election)",
         steps=["ReapClaim"],
     ),
-    # ----- kp-queue/handle.rs ----------------------------------------
-    (HA, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    (HA, "op_prologue"): spec("reclamation", "publishes the handle's epoch-participant token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
-    (HA, "drop"): spec("reclamation", "retracts the epoch token before the id can recycle; mirrors op_prologue's publication", sc=SC_TOKEN),
-    (HA, "read_deq_result"): spec("helper-guard", "reads the locked sentinel's next for the result; Acquire pairs with the append CAS so the payload is visible"),
-    # ----- kp-queue/queue.rs -----------------------------------------
-    (Q, "with_config"): spec("helper-guard", WHY_INIT),
-    (Q, "len_approx"): spec("stats", "advisory O(n) walk; Acquire (release half of the append CAS) suffices to dereference initialised nodes"),
-    (Q, "is_empty"): spec("stats", "advisory emptiness probe; same argument as len_approx"),
+    # ----- kp-queue/queue.rs (the core, shared by both backends) -----
+    # The head/tail reads opening each loop happen in the backend's
+    # `protect` (epoch.rs below; the hazard backend's is
+    # hazard::Participant::protect), the successor re-validation in the
+    # hazard backend's `protect_next`.
+    (Q, "head_next"): spec("stats", "advisory head and head.next reads under len_approx/is_empty (epoch pin) or len_approx_quiescent (quiescence); Acquire (release half of the append CAS) suffices to dereference initialised nodes"),
+    (Q, "count_from_head"): spec("stats", "advisory O(n) walk; same argument as head_next"),
     (Q, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
     (Q, "help_enq"): {
-        ("load", 0): spec("helper-guard", "tail read opening the help loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail-lag check (L72)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "tail re-validation before the append (L73)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "protected tail's next read (L70)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "tail re-validation before the append (L71)", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the append CAS (L74)", sc=SC_APPEND, steps=["Append"]),
     },
     (Q, "help_finish_enq"): {
-        ("load", 0): spec("helper-guard", "tail read (L90)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "appended-node read (L91)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "appended-node read (L87)", sc=SC_HELP),
         ("compare_exchange", 0): spec("helper-guard", "FAST_ENQUEUER branch: unconditional tail swing past a fast-appended node (no descriptor to ack; model FastFixTail)", sc=SC_SWING),
-        ("load", 2): spec("helper-guard", "tail re-validation (L92)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "tail re-validation (L91)", sc=SC_HELP),
         ("compare_exchange", 1): spec("helper-guard", "tail swing (L94, model FixTail)", sc=SC_SWING),
     },
     (Q, "help_deq"): {
-        ("load", 0): spec("helper-guard", "head read opening the dequeue help loop (L110)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail read for the empty/lag classification (L110)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "sentinel next read (L110)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "head re-validation (L112)", sc=SC_HELP),
-        ("load", 4): spec("helper-guard", "tail-lag re-check (L122)", sc=SC_HELP),
-        ("load", 5): spec("helper-guard", "head consistency check before the lock (L132)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "tail read for the empty/lag classification (L112)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "protected sentinel's next read (L113)", sc=SC_HELP),
+        ("load", 2): spec("helper-guard", "head re-validation (L114)", sc=SC_HELP),
+        ("load", 3): spec("helper-guard", "tail re-check before recording an empty result (L117)", sc=SC_HELP),
+        ("load", 4): spec("helper-guard", "head consistency check before stage 0 (L129)", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the deq_tid lock CAS (L135)", sc=SC_LOCK, steps=["Lock"]),
     },
     (Q, "help_finish_deq"): {
-        ("load", 0): spec("helper-guard", "head read (L145)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "locked sentinel's next read (L146)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "deq_tid read identifying the lock owner (L146)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "FAST_DEQUEUER branch: head re-validation before the helper-side swing (no descriptor to ack)", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "protected sentinel's next read (L143)", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "deq_tid read identifying the lock owner (L144)", sc=SC_HELP),
+        ("load", 2): spec("helper-guard", "FAST_DEQUEUER branch: head re-validation before the helper-side swing (no descriptor to ack)", sc=SC_HELP),
         ("compare_exchange", 0): spec("helper-guard", "FAST_DEQUEUER branch: head swing past a fast-locked sentinel (model FastFixHead); winner owns its retirement", sc=SC_SWING),
-        ("load", 4): spec("helper-guard", "head re-validation (L148)", sc=SC_HELP),
+        ("load", 3): spec("helper-guard", "head re-validation (L147)", sc=SC_HELP),
         ("compare_exchange", 1): spec("helper-guard", "head swing (L150, model FixHead); winner owns sentinel retirement", sc=SC_SWING),
     },
     (Q, "try_fast_enqueue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail read opening the bounded MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail.next read classifying settled vs dangling", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "fast-path protected tail's next read classifying settled vs dangling", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "the fast append CAS -- same L74 linearization point as the slow path, reached without a descriptor", sc=SC_APPEND, steps=["FastAppend"]),
         ("compare_exchange", 1): spec("helper-guard", "owner's best-effort tail swing (model FastFixTail); helpers' FAST_ENQUEUER branch races the same CAS", sc=SC_SWING),
     },
     (Q, "try_fast_dequeue"): {
-        ("load", 0): spec("helper-guard", "fast-path head read opening the bounded MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail read for the empty/lag classification", sc=SC_HELP),
-        ("load", 2): spec("linearization", "fast-path sentinel next read; with the head validated and first == last, observing null here is the empty-dequeue linearization (no descriptor CAS needed)", sc=SC_HELP, steps=["FastEmpty"]),
-        ("load", 3): spec("helper-guard", "fast-path head re-validation before acting on the next read", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "fast-path tail read for the empty/lag classification", sc=SC_HELP),
+        ("load", 1): spec("linearization", "fast-path protected sentinel's next read; with first == last, observing null here is the empty-dequeue linearization: the protected sentinel's next is write-once, so a null next proves nothing was appended after it and head cannot have moved past it", sc=SC_HELP, steps=["FastEmpty"]),
         ("compare_exchange", 0): spec("linearization", "the fast deq_tid lock CAS (FAST_DEQUEUER marker) -- same L135 linearization point as the slow path", sc=SC_LOCK, steps=["FastLock"]),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort head swing (model FastFixHead); winner recycles the unlinked sentinel", sc=SC_SWING),
+        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort head swing (model FastFixHead); winner retires the unlinked sentinel", sc=SC_SWING),
     },
-    (Q, "reap_slot"): {
-        ("load", 0): spec("helper-guard", "adopted dequeue's locked-sentinel next read; Acquire pairs with the append CAS so the claimed-and-discarded value is visible (DESIGN.md SS13.4)"),
-        ("swap", 0): spec("reclamation", "takes the victim's epoch-participant token exactly once (zeroing the slot) so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
-        ("load", 1): spec("reclamation", "publisher scan (DESIGN.md SS13.4): spares the quarantine when any live handle still publishes the victim's token", sc="the scan must be ordered after this reaper's own token swap in the single total order with every other reaper's swap+scan and every handle's publish-before-pin, or two racing reapers could both see the other's not-yet-swapped victim entry and both skip a genuinely wedged quarantine"),
-    },
+    (Q, "reap_slot"): spec("reclamation", "takes the victim's reclamation token exactly once (zeroing the slot) so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
     (Q, "append_no_swing"): {
-        ("load", 0): spec("helper-guard", "test-only lagging-tail fixture (sudden-death wedge, DESIGN.md SS13.1): tail read opening the MS loop", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "test-only fixture: tail.next read classifying settled vs dangling", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "test-only fixture: tail re-validation before acting on the next read", sc=SC_HELP),
+        ("load", 0): spec("helper-guard", "test-only lagging-tail fixture (sudden-death wedge, DESIGN.md SS13.1): protected tail's next read classifying settled vs dangling", sc=SC_HELP),
+        ("load", 1): spec("helper-guard", "test-only fixture: tail re-validation before acting on the next read", sc=SC_HELP),
         ("compare_exchange", 0): spec("linearization", "test-only fixture: the fast append CAS without the step-3 tail swing -- same L74 linearization point as try_fast_enqueue", sc=SC_APPEND, steps=["FastAppend"]),
     },
     (Q, "drop"): spec("reclamation", WHY_TEARDOWN),
+    # ----- kp-queue/epoch.rs (epoch backend) --------------------------
+    (EP, "announce"): spec("reclamation", "publishes the handle's epoch-participant token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    (EP, "protect"): spec("helper-guard", "the head/tail read opening every help and fast-path loop (L69, L86, L111, L142); the operation's pin already protects the node", sc=SC_HELP),
+    (EP, "quarantine"): spec("reclamation", "publisher scan (DESIGN.md SS13.4): spares the quarantine when any live handle still publishes the victim's token", sc="the scan must be ordered after this reaper's own token swap in the single total order with every other reaper's swap+scan and every handle's publish-before-pin, or two racing reapers could both see the other's not-yet-swapped victim entry and both skip a genuinely wedged quarantine"),
+    (EP, "exit"): spec("reclamation", "retracts the epoch token after the exit's unpin, before the id can recycle; mirrors announce's publication", sc=SC_TOKEN),
+    # ----- kp-queue/hazard.rs (hazard-pointer backend) ----------------
+    (HZ, "enter"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
+    (HZ, "protect_next"): spec("reclamation", "validating head/tail re-read after publishing the successor's hazard: the anchor still in place proves the successor was not retired", sc=SC_HAZARD_PUB),
+    (HZ, "consume"): spec("reclamation", "owner's half of the two-token disposal gate; AcqRel makes exactly one side observe both tokens and free the node"),
+    (HZ, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors consume"),
+    (HZ, "exiting"): spec("reclamation", "retracts the hazard-record token before the exit cleanup, before the id can recycle; mirrors enter's publication", sc=SC_TOKEN),
+    (HZ, "token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
     # ----- kp-queue/stats.rs -----------------------------------------
     (ST, "bump"): spec("stats", "single-writer counter bump: only the handle holding the block's tid writes it, so a Relaxed load + store replaces the RMW (stats.rs module docs); no synchronization intent"),
     (ST, "get"): spec("stats", "counter read for snapshots and the advisory depth/drain/pressure gauges; Relaxed per-cell reads summed across tids -- exact at quiescence, stale by in-flight ops under load, no cross-counter consistency promised"),
     # ----- kp-queue tests / examples ---------------------------------
     (QT, "drop"): spec("stats", WHY_TEST),
     (QT, "drop_releases_resident_values"): spec("stats", WHY_TEST),
+    (HTE, "drop"): spec("stats", WHY_TEST),
+    (HTE, "values_dropped_exactly_once"): spec("stats", WHY_TEST),
+    (HTE, "fast_path_values_dropped_exactly_once"): spec("stats", WHY_TEST),
+    (NO, "sentinel"): spec("reclamation", WHY_INIT),
+    (NO, "reuse"): spec("reclamation", WHY_RECYCLE),
     (NO, "fresh_node_is_unlocked"): spec("stats", WHY_TEST),
-    (NO, "free_next"): spec("reclamation", "pool link through a mature node's next, read by its exclusive owner (stealer or pool teardown); Relaxed -- the pool's Release CAS / Acquire swap order it"),
-    (NO, "set_free_next"): spec("reclamation", "relinks a mature, exclusively owned node's next into a pool chain before the pool's Release CAS publishes it"),
+    (NO, "fresh_nodes_start_ungated"): spec("stats", WHY_TEST),
+    (NO, "sentinels_are_born_consumed"): spec("stats", WHY_TEST),
+    (NO, "free_next"): spec("reclamation", "pool link through an unreachable node's next (matured, or released by the token gate), read by its exclusive owner (stealer or pool teardown); Relaxed -- the pool's Release CAS / Acquire swap order it"),
+    (NO, "set_free_next"): spec("reclamation", "relinks an unreachable, exclusively owned node's next into a pool chain before the pool's Release CAS publishes it"),
     (AR, "contended_window_allocs"): spec("stats", "test marker delimiting the measured allocation window"),
     (AR, "split_window_allocs"): spec("stats", "test scaffolding: credit window between the split test's producer and consumer threads"),
     (AR, "alternating_batch_allocs"): spec("stats", "test scaffolding: turn word handing each batch between the alternating test's producer and consumer threads"),
     (EX, "main"): spec("stats", "stress-probe progress reporting"),
-    # ----- kp-queue/hp/handle.rs -------------------------------------
-    (HH, "alloc_node"): spec("reclamation", WHY_RECYCLE),
-    (HH, "read_deq_result"): spec("reclamation", "owner's half of the two-token disposal gate; AcqRel makes exactly one side observe both tokens and free the node"),
-    (HH, "drop"): spec("reclamation", "retracts the hazard-record token before the id can recycle; mirrors register's publication", sc=SC_TOKEN),
     # ----- kp-queue/pool.rs (shared by both engines) -----------------
     (PO, "push_chain"): {
         ("load", 0): spec("reclamation", "bounded-pool size check; advisory"),
@@ -352,73 +351,6 @@ TABLE = {
         ("store", 1): spec("reclamation", "approximate length reset"),
     },
     (PO, "empty_steal_repairs_an_overcounted_len"): spec("stats", WHY_TEST),
-    # ----- kp-queue/hp/queue.rs --------------------------------------
-    (HQ, "len_approx_quiescent"): spec("stats", "quiescent-only O(n) walk", sc=SC_QUIESCENT),
-    (HQ, "next_phase"): spec("doorway", "monotone phase ticket (SS3.3 AtomicCounter policy)", sc=SC_DOORWAY),
-    (HQ, "help_enq"): {
-        ("load", 0): spec("helper-guard", "tail-lag check (L72)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail re-validation before the append (L73)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the append CAS (L74)", sc=SC_APPEND, steps=["Append"]),
-    },
-    (HQ, "help_finish_enq"): {
-        ("load", 0): spec("helper-guard", "appended-node read (L91)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "tail read (L90)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "tail re-validation (L92)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("helper-guard", "FAST_ENQUEUER branch: unconditional tail swing past a fast-appended node (model FastFixTail)", sc=SC_SWING),
-        ("compare_exchange", 1): spec("helper-guard", "tail swing (L94, model FixTail)", sc=SC_SWING),
-    },
-    (HQ, "help_deq"): {
-        ("load", 0): spec("helper-guard", "tail read for the empty/lag classification (L110)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "sentinel next read (L110)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "head re-validation (L112)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "tail-lag re-check (L122)", sc=SC_HELP),
-        ("load", 4): spec("helper-guard", "head consistency check before the lock (L132)", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the deq_tid lock CAS (L135)", sc=SC_LOCK, steps=["Lock"]),
-    },
-    (HQ, "help_finish_deq"): {
-        ("load", 0): spec("helper-guard", "locked sentinel's next read (L146)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "head read (L145)", sc=SC_HELP),
-        ("load", 2): spec("helper-guard", "deq_tid read identifying the lock owner (L146)", sc=SC_HELP),
-        ("load", 3): spec("helper-guard", "FAST_DEQUEUER branch: head re-validation before the helper-side swing", sc=SC_HELP),
-        ("compare_exchange", 0): spec("helper-guard", "FAST_DEQUEUER branch: head swing past a fast-locked sentinel (model FastFixHead); winner retires it", sc=SC_SWING),
-        ("load", 4): spec("helper-guard", "head re-validation (L148)", sc=SC_HELP),
-        ("compare_exchange", 1): spec("helper-guard", "head swing (L150, model FixHead); winner retires the sentinel", sc=SC_SWING),
-    },
-    (HQ, "try_fast_enqueue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail.next read classifying settled vs dangling (tail itself read via protect)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "fast-path tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the fast append CAS -- same L74 linearization point as the slow path, reached without a descriptor", sc=SC_APPEND, steps=["FastAppend"]),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort tail swing (model FastFixTail); helpers' FAST_ENQUEUER branch races the same CAS", sc=SC_SWING),
-    },
-    (HQ, "try_fast_dequeue"): {
-        ("load", 0): spec("helper-guard", "fast-path tail read for the empty/lag classification (head read via protect)", sc=SC_HELP),
-        ("load", 1): spec("linearization", "fast-path sentinel next read; with the head validated and first == last, observing null here is the empty-dequeue linearization", sc=SC_HELP, steps=["FastEmpty"]),
-        ("load", 2): spec("helper-guard", "fast-path head re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "the fast deq_tid lock CAS (FAST_DEQUEUER marker) -- same L135 linearization point as the slow path", sc=SC_LOCK, steps=["FastLock"]),
-        ("fetch_or", 0): spec("reclamation", "fast owner's half of the two-token disposal gate on the new sentinel; AcqRel mirrors read_deq_result"),
-        ("compare_exchange", 1): spec("helper-guard", "owner's best-effort head swing (model FastFixHead); winner retires the unlinked sentinel", sc=SC_SWING),
-    },
-    (HQ, "reap_slot"): {
-        ("fetch_or", 0): spec("reclamation", "reaper's half of the adopted dequeue's two-token disposal gate (DESIGN.md SS13.4); AcqRel mirrors read_deq_result"),
-        ("swap", 0): spec("reclamation", "takes the victim's hazard-record token exactly once (zeroing the slot) so a later reap of the slot's next lease cannot quarantine a stale token", sc=SC_TOKEN),
-    },
-    (HQ, "append_no_swing"): {
-        ("load", 0): spec("helper-guard", "test-only lagging-tail fixture (sudden-death wedge, DESIGN.md SS13.1): tail.next read classifying settled vs dangling (tail itself read via protect)", sc=SC_HELP),
-        ("load", 1): spec("helper-guard", "test-only fixture: tail re-validation before acting on the next read", sc=SC_HELP),
-        ("compare_exchange", 0): spec("linearization", "test-only fixture: the fast append CAS without the step-3 tail swing -- same L74 linearization point as try_fast_enqueue", sc=SC_APPEND, steps=["FastAppend"]),
-    },
-    (HQ, "register"): spec("reclamation", "publishes the new participant's hazard-record token for a future reap (DESIGN.md SS13.4)", sc=SC_TOKEN),
-    (HQ, "drop"): spec("reclamation", WHY_TEARDOWN),
-    # ----- kp-queue/hp tests -----------------------------------------
-    (HTY, "fresh_nodes_start_ungated"): spec("stats", WHY_TEST),
-    (HTY, "free_next"): spec("reclamation", "pool link read by the node's exclusive owner (a stealer walking its chain, or the pool's teardown); Relaxed -- the pool's Release CAS / Acquire swap order the link"),
-    (HTY, "set_free_next"): spec("reclamation", "links an exclusively owned node into a chain before the pool's Release CAS publishes it"),
-    (HTY, "reclaim_into_pool"): spec("reclamation", "scan's half of the two-token disposal gate; AcqRel mirrors read_deq_result"),
-    (HTY, "token_gate_disposes_exactly_once"): spec("stats", "test drives the two-token gate directly"),
-    (HTY, "sentinels_are_born_consumed"): spec("stats", WHY_TEST),
-    (HTE, "drop"): spec("stats", WHY_TEST),
-    (HTE, "values_dropped_exactly_once"): spec("stats", WHY_TEST),
-    (HTE, "fast_path_values_dropped_exactly_once"): spec("stats", WHY_TEST),
     # ----- hazard tests ----------------------------------------------
     (HT, "drop"): spec("stats", WHY_TEST),
     (HT, "retire_without_hazard_reclaims_on_scan"): spec("stats", WHY_TEST),
@@ -647,7 +579,7 @@ SUPPRESSIONS = [
     ("sc-justification", "crates/hazard/src/retired.rs", None, "only the tests module uses SeqCst; production fns in this file have none"),
     ("sc-justification", "crates/hazard/tests/integration.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/kp-queue/src/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
-    ("sc-justification", "crates/kp-queue/src/hp/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
+    ("sc-justification", "crates/kp-queue/src/hp_tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/wcq/src/tests.rs", None, "test scaffolding uses SeqCst counters for simplicity"),
     ("sc-justification", "crates/idpool/src/lib.rs", "oversubscribed_acquire_never_duplicates", "test scaffolding uses SeqCst for simplicity"),
     ("sc-justification", "crates/idpool/src/lib.rs", "concurrent_reap_race_single_winner", "test scaffolding uses SeqCst for simplicity"),

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use wfq_repro::kp_channel::{Channel, ChannelConfig, RecvTimeoutError, TrySendError};
-use wfq_repro::kp_queue::WfQueue;
+use wfq_repro::kp_queue::{Config, WfQueue, WfQueueHp};
 use wfq_repro::traits::ConcurrentQueue;
 use wfq_repro::wcq::WcQueue;
 
@@ -104,6 +104,18 @@ fn mpmc_exactly_once_over_wcq_core() {
 fn mpmc_exactly_once_over_kp_core() {
     for shards in [1, 3] {
         let chan = Channel::kp(cfg(shards, 3, 2));
+        mpmc_exactly_once(&chan, 3, 2, 600);
+    }
+}
+
+/// The hazard-pointer engine as a shard core: its batch operations run
+/// under the channel's `send_batch`/`recv_batch`.
+#[test]
+fn mpmc_exactly_once_over_kp_hazard_core() {
+    for shards in [1, 3] {
+        let chan = Channel::with_factory(cfg(shards, 3, 2), |s| {
+            WfQueueHp::with_config(s.threads, Config::fast())
+        });
         mpmc_exactly_once(&chan, 3, 2, 600);
     }
 }

@@ -136,39 +136,30 @@ fn wf_hazard_pointer_is_linearizable() {
 /// nodes many times *within one checked history*. A version-tag bug
 /// that let a stale helper CAS replay a step, or a node republished
 /// before its reader finished, would surface here as a duplicated or
-/// invented value that the checker rejects. Runs with reuse on and off
-/// so a failure differentiates the reuse machinery from the base
-/// algorithm.
+/// invented value that the checker rejects.
 #[test]
 fn wf_reuse_churn_is_linearizable() {
     const ROUNDS: usize = 6;
     const THREADS: usize = 3;
     const OPS: usize = 20;
-    type MkConfig = fn() -> Config;
-    let configs: [(MkConfig, &str); 2] = [
-        (Config::opt_both, "reuse"),
-        (|| Config::opt_both().with_reuse(false), "alloc"),
-    ];
-    for (cfg, label) in configs {
-        for round in 0..ROUNDS {
-            let seed = round as u64 * 104_729 + 13;
-            let q = WfQueue::<u64>::with_config(THREADS, cfg());
-            let history = record_round(&q, THREADS, OPS, seed);
-            assert!(history.validate_stamps());
-            assert_eq!(
-                check(&QueueModel, &history),
-                Outcome::Linearizable,
-                "WfQueue({label}) round {round}"
-            );
-            let q = WfQueueHp::<u64>::with_config(THREADS, cfg());
-            let history = record_round(&q, THREADS, OPS, seed);
-            assert!(history.validate_stamps());
-            assert_eq!(
-                check(&QueueModel, &history),
-                Outcome::Linearizable,
-                "WfQueueHp({label}) round {round}"
-            );
-        }
+    for round in 0..ROUNDS {
+        let seed = round as u64 * 104_729 + 13;
+        let q = WfQueue::<u64>::with_config(THREADS, Config::opt_both());
+        let history = record_round(&q, THREADS, OPS, seed);
+        assert!(history.validate_stamps());
+        assert_eq!(
+            check(&QueueModel, &history),
+            Outcome::Linearizable,
+            "WfQueue(reuse) round {round}"
+        );
+        let q = WfQueueHp::<u64>::with_config(THREADS, Config::opt_both());
+        let history = record_round(&q, THREADS, OPS, seed);
+        assert!(history.validate_stamps());
+        assert_eq!(
+            check(&QueueModel, &history),
+            Outcome::Linearizable,
+            "WfQueueHp(reuse) round {round}"
+        );
     }
 }
 
