@@ -22,16 +22,12 @@
 //! voluntary yields (oversubscription-friendly). See DESIGN.md §3.
 //!
 //! Each figure has a binary (`fig7`, `fig8`, `fig9`, `fig10`,
-//! `latency`) that prints the paper-shaped table and writes CSV files;
-//! Criterion benches in the `bench` crate wrap the same runners at
-//! reduced scale.
+//! `latency`) that prints the paper-shaped table and writes CSV files.
 
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod channel_load;
 pub mod figures;
-pub mod hist;
 pub mod latency;
 pub mod report;
 pub mod sched;

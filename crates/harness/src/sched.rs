@@ -96,30 +96,6 @@ pub fn num_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Warns on stderr — once per process, however many cells trip it —
-/// when a cell runs more worker threads than the machine has cores.
-/// Oversubscribed timings measure scheduler interleaving as much as
-/// queue throughput, so the affected rows carry an `oversubscribed`
-/// flag and this single banner explains it. Returns whether `threads`
-/// oversubscribes `cores` so callers can set the per-row flag from the
-/// same check.
-pub fn warn_if_oversubscribed(threads: usize, cores: usize) -> bool {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    let over = threads > cores;
-    if over {
-        ONCE.call_once(|| {
-            eprintln!(
-                "WARNING: some cells run more worker threads than the {cores} \
-                 core(s) available: they are oversubscribed, so timings measure \
-                 scheduler interleaving as much as queue throughput. Affected \
-                 rows carry \"oversubscribed\": true. (Warning printed once per \
-                 run.)"
-            );
-        });
-    }
-    over
-}
-
 /// Pins the calling thread to `core` (Linux; silent no-op elsewhere or
 /// on failure — pinning is a performance knob, not a correctness one).
 pub fn pin_to_core(core: usize) {

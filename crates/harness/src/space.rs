@@ -88,31 +88,6 @@ pub fn measure_live<Q: ConcurrentQueue<u64>>(
     }
 }
 
-/// Analytic per-node sizes, used to cross-check the measurement and to
-/// explain the asymptotic ratio (the paper attributes its ~1.5× to the
-/// extra `deqTid`/`enqTid` fields per node).
-pub mod analytic {
-    /// Bytes per resident element in the lock-free queue (node payload +
-    /// next pointer + allocator rounding is platform-dependent; this is
-    /// the struct size).
-    pub fn lf_node_bytes() -> usize {
-        // value: Option<u64> (16) + next: Atomic (8)
-        24
-    }
-
-    /// Bytes per resident element in the wait-free queue.
-    pub fn wf_node_bytes() -> usize {
-        // value: Option<u64> (16) + next (8) + enq_tid (8) + deq_tid (8)
-        40
-    }
-
-    /// The asymptotic WF/LF live-space ratio implied by the node
-    /// layouts.
-    pub fn asymptotic_ratio() -> f64 {
-        wf_node_bytes() as f64 / lf_node_bytes() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,12 +100,5 @@ mod tests {
         let s = measure_live(MsQueue::<u64>::new, 100, 2, 200, 3);
         assert_eq!(s.size, 100);
         assert!(s.live_bytes >= 0.0);
-    }
-
-    #[test]
-    fn analytic_ratio_matches_paper_ballpark() {
-        let r = analytic::asymptotic_ratio();
-        // The paper measures ~1.5 for large queues.
-        assert!(r > 1.2 && r < 2.2, "ratio {r}");
     }
 }

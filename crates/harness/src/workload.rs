@@ -4,7 +4,7 @@
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use queue_traits::{ConcurrentQueue, FastPathStats, QueueHandle};
+use queue_traits::{ConcurrentQueue, QueueHandle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,17 +20,6 @@ pub fn run_pairs<Q: ConcurrentQueue<u64>>(
     iters: usize,
     sched: SchedPolicy,
 ) -> Duration {
-    run_pairs_with_stats(queue, threads, iters, sched).0
-}
-
-/// [`run_pairs`] plus the merged per-handle [`FastPathStats`] (all zero
-/// for queues without a fast path).
-pub fn run_pairs_with_stats<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    threads: usize,
-    iters: usize,
-    sched: SchedPolicy,
-) -> (Duration, FastPathStats) {
     run_workload(queue, threads, sched, move |h, worker, yields| {
         for i in 0..iters {
             h.enqueue(encode(worker, i));
@@ -51,17 +40,6 @@ pub fn run_fifty_fifty<Q: ConcurrentQueue<u64>>(
     prefill: usize,
     sched: SchedPolicy,
 ) -> Duration {
-    run_fifty_fifty_with_stats(queue, threads, iters, prefill, sched).0
-}
-
-/// [`run_fifty_fifty`] plus the merged per-handle [`FastPathStats`].
-pub fn run_fifty_fifty_with_stats<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    threads: usize,
-    iters: usize,
-    prefill: usize,
-    sched: SchedPolicy,
-) -> (Duration, FastPathStats) {
     {
         let mut h = queue.register().expect("prefill handle");
         for i in 0..prefill {
@@ -95,22 +73,14 @@ fn maybe_yield(yields: bool, i: usize) {
 }
 
 /// Spawns `threads` workers, applies the scheduling policy, releases
-/// them through a barrier, and times until all are done. Each worker's
-/// fast-path counters (if its handle reports any) are merged into the
-/// returned [`FastPathStats`] — the merge happens after the timed body,
-/// off the measured path.
+/// them through a barrier, and times until all are done.
 ///
 /// The workers stamp the clock themselves (first start to last end):
 /// a main-thread timestamp taken after its own barrier release is
 /// wrong on an oversubscribed host, where every worker can run to
 /// completion before the main thread is rescheduled, shrinking the
 /// measured window to nearly zero.
-fn run_workload<Q, F>(
-    queue: &Q,
-    threads: usize,
-    sched: SchedPolicy,
-    body: F,
-) -> (Duration, FastPathStats)
+fn run_workload<Q, F>(queue: &Q, threads: usize, sched: SchedPolicy, body: F) -> Duration
 where
     Q: ConcurrentQueue<u64>,
     F: Fn(&mut Q::Handle<'_>, usize, bool) + Sync,
@@ -118,13 +88,11 @@ where
     assert!(threads > 0);
     let barrier = Barrier::new(threads);
     let body = &body;
-    let merged = Mutex::new(FastPathStats::default());
     let span = Mutex::new(None::<(Instant, Instant)>);
     // `scope` joins every worker before returning.
     std::thread::scope(|s| {
         for worker in 0..threads {
             let barrier = &barrier;
-            let merged = &merged;
             let span = &span;
             s.spawn(move || {
                 sched.apply(worker);
@@ -133,9 +101,6 @@ where
                 let t0 = Instant::now();
                 body(&mut h, worker, sched.yields());
                 let t1 = Instant::now();
-                if let Some(fp) = h.fast_path_stats() {
-                    merged.lock().unwrap().merge(&fp);
-                }
                 let mut s = span.lock().unwrap();
                 *s = Some(match *s {
                     None => (t0, t1),
@@ -145,7 +110,7 @@ where
         }
     });
     let (first, last) = span.into_inner().unwrap().expect("threads > 0");
-    (last - first, merged.into_inner().unwrap())
+    last - first
 }
 
 #[cfg(test)]

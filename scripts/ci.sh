@@ -6,18 +6,40 @@
 #   3. atomics audit: every atomic call site and unsafe occurrence must
 #      match ATOMICS.toml (see DESIGN.md SS11), plus a self-test that the
 #      gate actually fails on an undocumented atomic
-#   4. the epoch shim's unit tests and kp-queue's full suite (tier-1
-#      covers only the root package)
+#   4. the epoch shim's unit tests, kp-queue's full suite and the
+#      harness's unit tests (tier-1 covers only the root package)
 #   5. a short seeded chaos-torture smoke (fault-injection suite with a
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
-#   6. a time-capped kill/restart soak of the reaper rounds
+#   6. per-subsystem gates (fast path, wCQ, channel, overload), each a
+#      set of filtered test runs
+#   7. a time-capped kill/restart soak of the reaper rounds
 #      (SOAK_SECS, default 120)
-#   7. the repository benchmark's self-checks and a short traced run of
-#      each workload (needs at least 2 cores; skips loudly otherwise)
-#   8. best-effort sanitizer stages: Miri and ThreadSanitizer run when
+#   8. the repository benchmark's self-checks and a short traced run of
+#      each workload (needs at least 2 cores; skips loudly otherwise),
+#      and the unit tests of its A/B driver (scripts/ab.py)
+#   9. best-effort sanitizer stages: Miri and ThreadSanitizer run when
 #      the toolchain supports them, skip loudly when it does not
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# `cargo test "$@"` that also fails when it ran no test. Every filtered
+# call goes through it, so a renamed or deleted test cannot silently
+# empty a stage.
+cargo_test_filtered() {
+    local log status=0 ran
+    log="$(mktemp)"
+    cargo test "$@" 2>&1 | tee "$log" || status=$?
+    ran=$(sed -nE 's/^test result: [a-zA-Z]+\. ([0-9]+) passed.*/\1/p' "$log" \
+        | awk '{ n += $1 } END { print n + 0 }')
+    rm -f "$log"
+    if [ "$status" -ne 0 ]; then
+        return "$status"
+    fi
+    if [ "$ran" -eq 0 ]; then
+        echo "ci: FAIL -- cargo test $* ran no test" >&2
+        return 1
+    fi
+}
 
 echo "=== tier-1: release build + workspace tests ==="
 cargo build --release
@@ -61,18 +83,22 @@ echo "=== kp-queue engine (crates/kp-queue) ==="
 # queues) and the allocation-regression gate (alloc_regression.rs).
 cargo test -p kp-queue --release -q
 
+echo "=== harness (crates/harness) ==="
+# The figure harness's unit tests: workloads, scheduler policies,
+# variants, the sweep driver, reports, statistics and the space probe.
+cargo test -p harness --release -q
+
 echo "=== chaos smoke (seeded fault injection) ==="
 cargo test --features chaos --release -q --test torture
 
 echo "=== fast-path matrix (DESIGN.md SS12) ==="
 # The fast-path/slow-path split, end to end: the kp-queue unit tests
-# whose names mention `fast` (both reclamation backends), the harness
-# fast variants, mixed fast/slow linearizability rounds, and the
-# mid-demotion crash cases from the chaos suite.
-cargo test -p kp-queue --release -q fast
-cargo test -p harness --release -q --lib fast
-cargo test --release -q --test linearizability wf_fast
-cargo test --features chaos --release -q --test torture demotion
+# whose names mention `fast` (both reclamation backends), mixed
+# fast/slow linearizability rounds, and the mid-demotion crash cases
+# from the chaos suite.
+cargo_test_filtered -p kp-queue --release -q fast
+cargo_test_filtered --release -q --test linearizability wf_fast
+cargo_test_filtered --features chaos --release -q --test torture demotion
 
 echo "=== wCQ engine gate (DESIGN.md SS14) ==="
 # The bounded ring-buffer engine, end to end: its unit suite (SCQ
@@ -81,8 +107,8 @@ echo "=== wCQ engine gate (DESIGN.md SS14) ==="
 # wcq.* site, and the bounded-memory gate (zero allocation under a
 # stalled reader, where the KP engines' backlog grows).
 cargo test -p wcq --release -q
-cargo test --release -q --test linearizability wcq
-cargo test --features chaos --release -q --test torture wcq
+cargo_test_filtered --release -q --test linearizability wcq
+cargo_test_filtered --features chaos --release -q --test torture wcq
 cargo test --release -q --test memory_bound
 
 echo "=== channel gate (DESIGN.md SS15) ==="
@@ -93,7 +119,7 @@ echo "=== channel gate (DESIGN.md SS15) ==="
 # hunt at the chan.{route,batch,park,wake} sites.
 cargo test -p kp-channel --release -q
 cargo test --release -q --test channel
-cargo test --features chaos --release -q --test torture channel
+cargo_test_filtered --features chaos --release -q --test torture channel
 
 echo "=== overload gate (DESIGN.md SS16) ==="
 # Overload control, end to end: deadline accuracy (never early), parked
@@ -104,10 +130,12 @@ echo "=== overload gate (DESIGN.md SS16) ==="
 # chan.{send_park,wake}, deadline accuracy under stalls, and the
 # kill-mid-quarantine recovery round.
 cargo test --release -q --test overload
-cargo test --features chaos --release -q --test torture -- \
-    channel_parked_senders_never_lose_wakeups \
+# One run per name, so that each name must still match a test.
+for name in channel_parked_senders_never_lose_wakeups \
     channel_deadlines_never_fire_early_under_seeded_stalls \
-    channel_quarantine_survives_consumer_killed_mid_drain
+    channel_quarantine_survives_consumer_killed_mid_drain; do
+    cargo_test_filtered --features chaos --release -q --test torture "$name"
+done
 
 echo "=== soak: kill/restart with the reaper on (DESIGN.md SS13) ==="
 # Time-capped repetition of the abandoned-handle rounds: sudden-death
@@ -119,7 +147,7 @@ echo "=== soak: kill/restart with the reaper on (DESIGN.md SS13) ==="
 soak_deadline=$(( $(date +%s) + ${SOAK_SECS:-120} ))
 soak_rounds=0
 while [ "$(date +%s)" -lt "$soak_deadline" ]; do
-    cargo test --features chaos --release -q --test torture reap \
+    cargo_test_filtered --features chaos --release -q --test torture reap \
         || { echo "ci: FAIL — soak round $soak_rounds" >&2; exit 1; }
     soak_rounds=$((soak_rounds + 1))
 done
@@ -146,6 +174,12 @@ else
         echo "perfbench $workload ok"
     done
 fi
+
+echo "=== A/B driver (scripts/ab.py) ==="
+# The acceptance rule's arithmetic: quartiles against perfbench's own
+# vectors, wins and ties, the gain, regression and unresolved verdicts,
+# and the tree-derived seeds. Runs no benchmark.
+python3 -m unittest scripts/test_ab.py
 
 echo "=== miri (best-effort) ==="
 scripts/miri.sh || { echo "ci: miri stage failed" >&2; exit 1; }
