@@ -1,5 +1,5 @@
 //! Static audit of the workspace's atomic operations and `unsafe` code
-//! against the checked-in `ATOMICS.toml` ordering manifest.
+//! against the ordering tags written beside them.
 //!
 //! The PPoPP 2011 wait-free queue's correctness argument lives in its
 //! memory orderings: the doorway load, the three-CAS enqueue/dequeue
@@ -7,38 +7,37 @@
 //! `Relaxed` "cleanup" compiles fine and passes every unit test on
 //! x86, then loses dequeues on ARM. This crate makes each ordering a
 //! *reviewed claim*: every atomic call site in the audited crates must
-//! have a manifest entry stating its orderings, a role tag, and a
-//! one-line justification, and CI diffs code against manifest on every
-//! run (`cargo run -p atomics-audit`).
+//! carry a `// ord(<role>[, sc[=<key>]][, steps=...]): <why>` tag on the
+//! comment lines directly above it, and CI checks code against tags on
+//! every run (`cargo run -p atomics-audit`). A refactor edits a reason
+//! in the same diff hunk as the code it justifies.
 //!
 //! The pipeline:
 //!
-//! 1. [`scan`] extracts atomic call sites, `unsafe` occurrences, and
-//!    facade violations from the scoped sources, using stable anchors
-//!    `(file, fn, op, index)` that survive line churn.
-//! 2. [`manifest`] parses `ATOMICS.toml` (hand-rolled TOML subset —
-//!    the container has no `toml` crate).
-//! 3. [`rules`] diffs the two and emits findings, each suppressible by
-//!    a reviewed `[[suppress]]` entry.
+//! 1. [`scan`] extracts atomic call sites, their tags, `unsafe`
+//!    occurrences and facade violations from the [`SCOPE`] sources.
+//! 2. [`rules`] checks each site against its tag and emits findings.
 //!
 //! The binary exits 0 when clean, 1 on findings, 2 on operational
 //! errors — `scripts/ci.sh` treats non-zero as a gate failure.
 
 #![warn(missing_docs)]
 
-pub mod manifest;
 pub mod rules;
 pub mod scan;
 
 use std::path::Path;
 
+/// The audited crates, root-relative. Test code inside them is audited
+/// too.
+pub const SCOPE: &[&str] =
+    &["crates/kp-queue", "crates/hazard", "crates/idpool", "crates/wcq", "crates/kp-channel"];
+
 /// Outcome of one audit run, for the binary and for tests.
 #[derive(Debug)]
 pub struct AuditOutcome {
-    /// Unsuppressed findings (empty = gate passes).
+    /// Findings (empty = gate passes).
     pub findings: Vec<rules::Finding>,
-    /// How many findings a `[[suppress]]` entry absorbed.
-    pub suppressed: usize,
     /// Scan statistics for the summary line.
     pub stats: AuditStats,
 }
@@ -50,52 +49,20 @@ pub struct AuditStats {
     pub files: usize,
     /// Atomic call sites found in code.
     pub sites: usize,
-    /// Manifest entries.
-    pub manifest_sites: usize,
     /// `unsafe` occurrences found.
     pub unsafes: usize,
 }
 
-/// Runs the full audit: parse manifest at `manifest_path`, scan the
-/// manifest's scope under `root`, apply the rules.
-pub fn audit(root: &Path, manifest_path: &Path) -> Result<AuditOutcome, String> {
-    let text = std::fs::read_to_string(manifest_path)
-        .map_err(|e| format!("read {}: {e}", manifest_path.display()))?;
-    let manifest = manifest::parse(&text).map_err(|e| e.to_string())?;
-    if manifest.audit.scope.is_empty() {
-        return Err("ATOMICS.toml [audit] scope is empty — nothing to audit".into());
-    }
-    let report = scan::scan_scope(root, &manifest.audit.scope)?;
-    let (findings, suppressed) = rules::run(&report, &manifest);
+/// Runs the full audit: scans [`SCOPE`] under `root` and applies the
+/// rules.
+pub fn audit(root: &Path) -> Result<AuditOutcome, String> {
+    let report = scan::scan_scope(root, SCOPE)?;
     Ok(AuditOutcome {
-        findings,
-        suppressed,
+        findings: rules::run(&report),
         stats: AuditStats {
             files: report.files.len(),
             sites: report.sites.len(),
-            manifest_sites: manifest.sites.len(),
             unsafes: report.unsafes.len(),
         },
     })
-}
-
-/// Scans the scope and prints a TOML skeleton for every atomic site —
-/// the bootstrap path for populating `ATOMICS.toml` and the recovery
-/// path after a refactor moves sites.
-pub fn dump_skeleton(root: &Path, scope: &[String]) -> Result<String, String> {
-    let report = scan::scan_scope(root, scope)?;
-    let mut out = String::new();
-    for site in &report.sites {
-        out.push_str(&format!(
-            "[[site]]\nfile = \"{}\"\nfn = \"{}\"\nop = \"{}\"\nindex = {}\norder = [{}]\n# recv: {}  (line {})\nrole = \"FIXME\"\nwhy = \"FIXME\"\n\n",
-            site.file,
-            site.symbol,
-            site.op,
-            site.index,
-            site.orderings.iter().map(|o| format!("\"{o}\"")).collect::<Vec<_>>().join(", "),
-            site.recv,
-            site.line,
-        ));
-    }
-    Ok(out)
 }

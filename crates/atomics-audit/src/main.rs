@@ -1,15 +1,13 @@
-//! CI gate: `cargo run -p atomics-audit [-- --root DIR --manifest FILE]`.
+//! CI gate: `cargo run -p atomics-audit [-- --root DIR]`.
 //!
-//! Exit codes: 0 clean, 1 unsuppressed findings, 2 operational error
-//! (unreadable manifest, bad scope, parse failure).
+//! Exit codes: 0 clean, 1 findings, 2 operational error (unreadable
+//! source, missing scope directory).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = default_root();
-    let mut manifest: Option<PathBuf> = None;
-    let mut dump = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -18,11 +16,6 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
             },
-            "--manifest" => match args.next() {
-                Some(v) => manifest = Some(PathBuf::from(v)),
-                None => return usage("--manifest needs a value"),
-            },
-            "--dump" => dump = true,
             "--help" | "-h" => {
                 print!("{HELP}");
                 return ExitCode::SUCCESS;
@@ -30,50 +23,19 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    let manifest = manifest.unwrap_or_else(|| root.join("ATOMICS.toml"));
 
-    if dump {
-        // Bootstrap mode: scope comes from the manifest when present,
-        // else the default audited crates.
-        let scope = match std::fs::read_to_string(&manifest)
-            .ok()
-            .and_then(|t| atomics_audit::manifest::parse(&t).ok())
-            .map(|m| m.audit.scope)
-        {
-            Some(s) if !s.is_empty() => s,
-            _ => vec![
-                "crates/kp-queue".to_string(),
-                "crates/hazard".to_string(),
-                "crates/idpool".to_string(),
-            ],
-        };
-        return match atomics_audit::dump_skeleton(&root, &scope) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("atomics-audit: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    match atomics_audit::audit(&root, &manifest) {
+    match atomics_audit::audit(&root) {
         Ok(outcome) => {
             for f in &outcome.findings {
                 println!("{f}");
             }
             let s = &outcome.stats;
             println!(
-                "atomics-audit: {} files, {} atomic sites ({} in manifest), {} unsafe occurrences, \
-                 {} finding(s), {} suppressed",
+                "atomics-audit: {} files, {} atomic sites, {} unsafe occurrences, {} finding(s)",
                 s.files,
                 s.sites,
-                s.manifest_sites,
                 s.unsafes,
                 outcome.findings.len(),
-                outcome.suppressed
             );
             if outcome.findings.is_empty() {
                 ExitCode::SUCCESS
@@ -106,15 +68,13 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 const HELP: &str = "\
-Usage: cargo run -p atomics-audit [-- OPTIONS]
+Usage: cargo run -p atomics-audit [-- --root DIR]
 
 Audits every atomic call site and unsafe occurrence in the scoped
-crates against ATOMICS.toml. Exit 0 = clean, 1 = findings, 2 = error.
+crates against the `// ord(...)` tags above them. Exit 0 = clean,
+1 = findings, 2 = error.
 
 Options:
   --root DIR        workspace root (default: autodetected)
-  --manifest FILE   manifest path (default: ROOT/ATOMICS.toml)
-  --dump            print a TOML skeleton for every atomic site found
-                    (bootstrap / refactor-recovery aid) and exit
   -h, --help        this text
 ";

@@ -1,16 +1,28 @@
-//! Source scanner: extracts atomic call sites, `unsafe` occurrences,
-//! and facade violations from Rust sources without a real parser.
+//! Source scanner: extracts atomic call sites, their `// ord(...)`
+//! ordering tags, `unsafe` occurrences, and facade violations from Rust
+//! sources without a real parser.
 //!
 //! The extraction works on a *masked* copy of each file in which
 //! comments and string/char literals are replaced by spaces (newlines
 //! preserved), so byte offsets and line numbers in the masked text match
 //! the original. On top of the masked text a small brace-tracking pass
-//! assigns each byte to its innermost enclosing `fn`, which is what
-//! makes site anchors stable: a site is identified by
-//! `(file, fn, op, index-within-fn)` — line numbers are recorded for
-//! diagnostics but never used for matching, so unrelated line churn
-//! cannot invalidate the manifest.
+//! assigns each byte to its innermost enclosing `fn`, for reports.
+//!
+//! A site's ordering argument is a tag in the original text:
+//!
+//! ```text
+//! // ord(<role>[, sc[=<key>]][, steps=<Step>+<Step>]): <why>
+//! // <why, continued>
+//! x.load(Ordering::Acquire)
+//! ```
+//!
+//! It sits in the contiguous run of `//` lines directly above the line
+//! holding the method name (for a chain continuation, between the chain
+//! elements), and covers every atomic on that line. The fields are all
+//! on the `ord(` line; the why may continue on the `//` lines below it.
+//! Validation of the fields is [`crate::rules`]'s job.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,26 +51,43 @@ pub const ATOMIC_METHODS: &[(&str, usize)] = &[
 pub struct Site {
     /// Root-relative path, `/`-separated.
     pub file: String,
-    /// 1-based line (diagnostics only; not part of the anchor).
+    /// 1-based line holding the method name.
     pub line: usize,
     /// Innermost enclosing `fn` name, or `(top)` at module scope.
     pub symbol: String,
     /// Method name (`load`, `compare_exchange`, …).
     pub op: String,
-    /// Ordinal of this `op` within `symbol` (0-based, file order).
-    pub index: usize,
     /// Receiver expression fragment, for human-readable reports.
     pub recv: String,
     /// `Ordering::` arguments in call order; `"?"` when the ordering is
     /// a parameter or otherwise not a literal `Ordering::X` token.
     pub orderings: Vec<String>,
+    /// Index into [`ScanReport::tags`] of the tag bound to this site.
+    pub tag: Option<usize>,
 }
 
-impl Site {
-    /// The stable anchor string used in reports: `file fn/op#index`.
-    pub fn anchor(&self) -> String {
-        format!("{} {}/{}#{}", self.file, self.symbol, self.op, self.index)
-    }
+/// One `// ord(...)` tag comment.
+#[derive(Debug, Clone, Default)]
+pub struct Tag {
+    /// Root-relative path.
+    pub file: String,
+    /// 1-based line of the `// ord(` comment.
+    pub line: usize,
+    /// Innermost enclosing `fn`, or `(top)`.
+    pub symbol: String,
+    /// The first field.
+    pub role: String,
+    /// `None` without an `sc` field, `Some("")` for a bare `sc`,
+    /// `Some(key)` for `sc=<key>`.
+    pub sc: Option<String>,
+    /// The `steps=` names, in order.
+    pub steps: Vec<String>,
+    /// The justification, its `//` continuation lines joined by spaces.
+    pub why: String,
+    /// Syntax problems: an unknown or repeated field, a missing `):`.
+    pub syntax: Vec<String>,
+    /// How many sites the tag binds (0 = an orphan).
+    pub sites: usize,
 }
 
 /// What kind of `unsafe` occurrence was found.
@@ -119,6 +148,8 @@ pub struct FacadeViolation {
 pub struct ScanReport {
     /// Atomic call sites, in deterministic (file, byte-offset) order.
     pub sites: Vec<Site>,
+    /// `// ord(...)` tags, in the same order.
+    pub tags: Vec<Tag>,
     /// `unsafe` occurrences.
     pub unsafes: Vec<UnsafeSite>,
     /// Facade-rule violations.
@@ -130,9 +161,9 @@ pub struct ScanReport {
 /// Scans every `.rs` file under `root/<dir>` for each scope dir.
 ///
 /// Returns an error string for I/O problems (missing scope directories
-/// are an error: a typo in the manifest scope must not silently shrink
-/// the audit).
-pub fn scan_scope(root: &Path, scope: &[String]) -> Result<ScanReport, String> {
+/// are an error: a typo in the scope must not silently shrink the
+/// audit).
+pub fn scan_scope(root: &Path, scope: &[&str]) -> Result<ScanReport, String> {
     let mut files = Vec::new();
     for dir in scope {
         let abs = root.join(dir);
@@ -179,7 +210,9 @@ pub fn scan_file(rel: &str, text: &str, report: &mut ScanReport) {
     let symbols = SymbolMap::build(&masked);
     let lines = LineIndex::new(text);
 
+    let first_site = report.sites.len();
     extract_atomic_sites(rel, &masked, &symbols, &lines, report);
+    bind_tags(rel, text, &symbols, &lines, first_site, report);
     extract_unsafe_sites(rel, text, &masked, &symbols, &lines, report);
     extract_facade_violations(rel, &masked, &lines, report);
 }
@@ -443,7 +476,6 @@ fn extract_atomic_sites(
     report: &mut ScanReport,
 ) {
     let b = masked.as_bytes();
-    let mut raw: Vec<Site> = Vec::new();
     let mut i = 0;
     while i < b.len() {
         if b[i] != b'.' {
@@ -485,27 +517,17 @@ fn extract_atomic_sites(
         let args = &masked[args_start..m.saturating_sub(1)];
         let orderings = extract_orderings(args);
         let recv = receiver_fragment(masked, i);
-        raw.push(Site {
+        report.sites.push(Site {
             file: rel.to_string(),
             line: lines.line_of(i),
             symbol: symbols.symbol_at(i),
             op: op.to_string(),
-            index: 0, // assigned below
             recv,
             orderings,
+            tag: None,
         });
         i = j;
     }
-    // Assign per-(symbol, op) ordinals in file order.
-    let mut counters: std::collections::HashMap<(String, String), usize> =
-        std::collections::HashMap::new();
-    for site in &mut raw {
-        let key = (site.symbol.clone(), site.op.clone());
-        let c = counters.entry(key).or_insert(0);
-        site.index = *c;
-        *c += 1;
-    }
-    report.sites.extend(raw);
 }
 
 /// All `Ordering::X` tokens in an argument list, in order; `["?"]` when
@@ -558,6 +580,93 @@ fn receiver_fragment(masked: &str, dot: usize) -> String {
         s -= 1;
     }
     masked[s..dot].trim().chars().take(48).collect()
+}
+
+// ---------------------------------------------------------------------
+// ordering tags
+// ---------------------------------------------------------------------
+
+const TAG_OPEN: &str = "// ord(";
+
+/// A plain `//` comment line, not a `///` or `//!` doc comment.
+fn is_plain_comment(line: &str) -> bool {
+    let t = line.trim_start();
+    t.starts_with("//") && !t.starts_with("///") && !t.starts_with("//!")
+}
+
+/// Parses every tag in `text`, then binds each of this file's sites
+/// (`report.sites[first_site..]`) to the nearest tag in the `//` run
+/// directly above its line.
+fn bind_tags(
+    rel: &str,
+    text: &str,
+    symbols: &SymbolMap,
+    lines: &LineIndex,
+    first_site: usize,
+    report: &mut ScanReport,
+) {
+    let src: Vec<&str> = text.lines().collect();
+    let mut tag_at = HashMap::new(); // 0-based line -> index into report.tags
+    for (i, line) in src.iter().enumerate() {
+        let Some(header) = line.trim_start().strip_prefix(TAG_OPEN) else {
+            continue;
+        };
+        let continuation = src[i + 1..]
+            .iter()
+            .take_while(|l| is_plain_comment(l) && !l.trim_start().starts_with(TAG_OPEN))
+            .map(|l| l.trim_start()[2..].trim());
+        let tag = Tag {
+            file: rel.to_string(),
+            line: i + 1,
+            symbol: symbols.symbol_at(lines.starts[i]),
+            ..parse_tag(header, continuation)
+        };
+        tag_at.insert(i, report.tags.len());
+        report.tags.push(tag);
+    }
+    for site in &mut report.sites[first_site..] {
+        let bound = (0..site.line - 1)
+            .rev()
+            .take_while(|&k| is_plain_comment(src[k]))
+            .find_map(|k| tag_at.get(&k).copied());
+        if let Some(t) = bound {
+            site.tag = Some(t);
+            report.tags[t].sites += 1;
+        }
+    }
+}
+
+/// Parses the text after `// ord(` and the why's continuation lines.
+fn parse_tag<'a>(header: &'a str, continuation: impl Iterator<Item = &'a str>) -> Tag {
+    let mut tag = Tag::default();
+    let (fields, why) = header.split_once("):").unwrap_or_else(|| {
+        tag.syntax.push("the fields must close with `):` on the `ord(` line".into());
+        (header, "")
+    });
+    let mut fields = fields.split(',').map(str::trim);
+    tag.role = fields.next().unwrap_or_default().to_string();
+    for field in fields {
+        let (name, value) = match field.split_once('=') {
+            Some((n, v)) => (n.trim(), Some(v.trim())),
+            None => (field, None),
+        };
+        match (name, value) {
+            ("sc", None) if tag.sc.is_none() => tag.sc = Some(String::new()),
+            ("sc", Some(key)) if tag.sc.is_none() && !key.is_empty() => {
+                tag.sc = Some(key.to_string())
+            }
+            ("steps", Some(list)) if tag.steps.is_empty() && !list.is_empty() => {
+                tag.steps = list.split('+').map(|s| s.trim().to_string()).collect()
+            }
+            _ => tag.syntax.push(format!("unknown or repeated field `{field}`")),
+        }
+    }
+    tag.why = std::iter::once(why.trim())
+        .chain(continuation)
+        .filter(|s| !s.is_empty())
+        .collect::<Vec<_>>()
+        .join(" ");
+    tag
 }
 
 // ---------------------------------------------------------------------
@@ -721,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn extracts_sites_with_symbols_and_ordinals() {
+    fn extracts_sites_with_symbols_and_orderings() {
         let src = r#"
 impl Foo {
     fn alpha(&self) {
@@ -738,8 +847,7 @@ fn beta(x: &AtomicUsize) -> usize {
         assert_eq!(r.sites.len(), 4);
         assert_eq!(r.sites[0].symbol, "alpha");
         assert_eq!(r.sites[0].op, "load");
-        assert_eq!(r.sites[0].index, 0);
-        assert_eq!(r.sites[1].index, 1, "second load in alpha");
+        assert_eq!(r.sites[1].orderings, vec!["Acquire"]);
         assert_eq!(r.sites[2].op, "compare_exchange");
         assert_eq!(r.sites[2].orderings, vec!["AcqRel", "Relaxed"]);
         assert_eq!(r.sites[3].symbol, "beta");
@@ -810,13 +918,73 @@ unsafe impl Send for X {}
         assert!(r.unsafes.is_empty(), "{:?}", r.unsafes);
     }
 
+    /// The tag bound to site `i`, if any.
+    fn tag_of(r: &ScanReport, i: usize) -> Option<&Tag> {
+        r.sites[i].tag.map(|t| &r.tags[t])
+    }
+
     #[test]
-    fn anchors_survive_line_churn() {
-        let a = scan_str("fn f() { x.load(Ordering::SeqCst); }");
-        let b = scan_str("// new comment\n\nfn unrelated() {}\nfn f() {\n    x.load(Ordering::SeqCst);\n}");
-        assert_eq!(a.sites[0].symbol, b.sites[0].symbol);
-        assert_eq!(a.sites[0].op, b.sites[0].op);
-        assert_eq!(a.sites[0].index, b.sites[0].index);
-        assert_ne!(a.sites[0].line, b.sites[0].line, "lines moved; anchor did not");
+    fn tag_parses_role_sc_steps_and_why() {
+        let src = "fn f() {\n    // ord(linearization, sc=append, steps=Append+FastAppend): the append\n    x.compare_exchange(a, b, Ordering::SeqCst, Ordering::Relaxed);\n}";
+        let r = scan_str(src);
+        let tag = tag_of(&r, 0).expect("bound");
+        assert_eq!((tag.line, tag.symbol.as_str()), (2, "f"));
+        assert_eq!(tag.role, "linearization");
+        assert_eq!(tag.sc.as_deref(), Some("append"));
+        assert_eq!(tag.steps, ["Append", "FastAppend"]);
+        assert_eq!(tag.why, "the append");
+        assert!(tag.syntax.is_empty(), "{:?}", tag.syntax);
+        let bare = scan_str("fn f() {\n    // ord(stats, sc): why\n    x.load(Ordering::SeqCst);\n}");
+        assert_eq!(tag_of(&bare, 0).expect("bound").sc.as_deref(), Some(""));
+    }
+
+    #[test]
+    fn tag_binds_to_a_chain_continuation_line() {
+        let src = "fn f() {\n    let v = self\n        .head\n        // ord(stats): chained\n        .load(Ordering::Acquire);\n}";
+        let r = scan_str(src);
+        assert_eq!(r.sites[0].line, 5);
+        assert_eq!(tag_of(&r, 0).expect("bound").why, "chained");
+    }
+
+    #[test]
+    fn multi_line_why_is_joined() {
+        let src = "fn f() {\n    // ord(stats): first part,\n    //   second part\n    //\n    // and third\n    x.load(Ordering::Relaxed);\n}";
+        let r = scan_str(src);
+        assert_eq!(tag_of(&r, 0).expect("bound").why, "first part, second part and third");
+    }
+
+    #[test]
+    fn blank_or_code_line_between_tag_and_site_unbinds_both() {
+        for gap in ["", "    work();"] {
+            let src = format!("fn f() {{\n    // ord(stats): detached\n{gap}\n    x.load(Ordering::Relaxed);\n}}");
+            let r = scan_str(&src);
+            assert!(r.sites[0].tag.is_none(), "gap {gap:?}: site must stay undocumented");
+            assert_eq!(r.tags[0].sites, 0, "gap {gap:?}: tag must be an orphan");
+        }
+    }
+
+    #[test]
+    fn one_tag_covers_every_site_on_its_line() {
+        let src = "fn bump(&self) {\n    // ord(stats): single-writer bump\n    self.0.store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);\n}";
+        let r = scan_str(src);
+        assert_eq!(r.sites.len(), 2);
+        assert_eq!((r.sites[0].tag, r.sites[1].tag), (Some(0), Some(0)));
+        assert_eq!(r.tags[0].sites, 2);
+    }
+
+    #[test]
+    fn doc_comment_ord_is_not_a_tag() {
+        let r = scan_str("fn f() {\n    /// ord(stats): a doc line\n    x.load(Ordering::Relaxed);\n}");
+        assert!(r.tags.is_empty());
+        assert!(r.sites[0].tag.is_none());
+    }
+
+    #[test]
+    fn binding_survives_line_churn_above_the_function() {
+        let a = scan_str("fn f() {\n    // ord(stats): why\n    x.load(Ordering::SeqCst);\n}");
+        let b = scan_str("// new comment\n\nfn unrelated() {\n    work();\n}\nfn f() {\n    // ord(stats): why\n    x.load(Ordering::SeqCst);\n}");
+        assert_ne!(a.sites[0].line, b.sites[0].line, "lines moved");
+        let (ta, tb) = (tag_of(&a, 0).expect("bound"), tag_of(&b, 0).expect("bound"));
+        assert_eq!((&ta.role, &ta.why), (&tb.role, &tb.why), "binding did not");
     }
 }

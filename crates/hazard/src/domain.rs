@@ -71,6 +71,8 @@ impl Domain {
 
     /// Total hazard slots in the domain (`H` in Michael's analysis).
     pub fn total_slots(&self) -> usize {
+        // ord(reclamation): sizes the hazard snapshot; Acquire pairs with
+        // enter's record-publishing AcqRel fetch_add
         self.record_count.load(Ordering::Acquire) * self.slots_per_record
     }
 
@@ -83,13 +85,20 @@ impl Domain {
     /// practical purposes", exactly like the paper's phase counter).
     pub fn enter(&self) -> Participant<'_> {
         // Try to adopt an inactive record first.
+        // ord(reclamation): record-list head read; Acquire makes each record's
+        // fields visible before the reuse probe
         let mut cur = self.records.load(Ordering::Acquire);
         while !cur.is_null() {
             // SAFETY: records are never freed while the domain is alive.
             let rec = unsafe { &*cur };
+            // ord(reclamation): speculative availability probe; the claim
+            // itself is the CAS below
             if !rec.active.load(Ordering::Relaxed)
                 && rec
                     .active
+                    // ord(reclamation): claims a retired record: AcqRel
+                    // acquires the previous owner's slot clears and publishes
+                    // the claim; a failed probe carries no data dependency
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
@@ -107,18 +116,25 @@ impl Domain {
             active: AtomicBool::new(true),
             hazards,
         }));
+        // ord(reclamation): re-reads the list head for the publish CAS
         let mut head = self.records.load(Ordering::Acquire);
         loop {
             // SAFETY: `rec` is not yet shared.
             unsafe { (*rec).next = head };
             match self
                 .records
+                // ord(reclamation): publishes a new record; the failure Acquire
+                // is load-bearing: the retry writes the observed head into the
+                // record's plain `next`, which later traversers dereference, so
+                // the pointee's initialisation must be visible
                 .compare_exchange(head, rec, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => break,
                 Err(h) => head = h,
             }
         }
+        // ord(reclamation): publishes the enlarged slot count; AcqRel orders it
+        // with the record push
         self.record_count.fetch_add(1, Ordering::AcqRel);
         Participant::new(self, rec)
     }
@@ -131,11 +147,13 @@ impl Domain {
     /// publishes in `Participant::protect`.
     pub(crate) fn collect_hazards_into(&self, out: &mut Vec<*mut u8>) {
         out.clear();
+        // ord(reclamation, sc=hazard-scan): the scan's hazard snapshot
         let mut cur = self.records.load(Ordering::SeqCst);
         while !cur.is_null() {
             // SAFETY: records live as long as the domain.
             let rec = unsafe { &*cur };
             for slot in rec.hazards.iter() {
+                // ord(reclamation, sc=hazard-scan): the scan's hazard snapshot
                 let p = slot.load(Ordering::SeqCst);
                 if !p.is_null() {
                     out.push(p);
@@ -149,6 +167,8 @@ impl Domain {
 
     /// Pops the entire orphan stack; the caller adopts the contents.
     pub(crate) fn take_orphans(&self) -> Vec<Retired> {
+        // ord(reclamation): adopts the orphan list: acquires the exiting
+        // thread's retirements, releases the emptied head
         let mut head = self.orphans.swap(ptr::null_mut(), Ordering::AcqRel);
         let mut out = Vec::new();
         while !head.is_null() {
@@ -169,12 +189,16 @@ impl Domain {
             next: ptr::null_mut(),
             retired,
         }));
+        // ord(reclamation): orphan head read for the push CAS
         let mut head = self.orphans.load(Ordering::Acquire);
         loop {
             // SAFETY: `batch` is not yet shared.
             unsafe { (*batch).next = head };
             match self
                 .orphans
+                // ord(reclamation): publishes orphaned retirements; failure
+                // Acquire is load-bearing for the same plain-`next` republish
+                // reason as enter's record push
                 .compare_exchange(head, batch, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => return,
@@ -211,11 +235,16 @@ impl Domain {
         if token == 0 {
             return false;
         }
+        // ord(reclamation): record-list head read; Acquire makes each record's
+        // fields visible before the token match
         let mut cur = self.records.load(Ordering::Acquire);
         while !cur.is_null() {
             if cur as usize == token {
                 // SAFETY: records are never freed while the domain lives.
                 let rec = unsafe { &*cur };
+                // ord(reclamation): confirms the record is still active before
+                // clearing; the reaper's exclusivity comes from the lease
+                // election, not this load
                 if !rec.active.load(Ordering::Acquire) {
                     // Already quarantined (or the leak was cleaned up
                     // some other way); don't disturb a possible adopter.
@@ -225,8 +254,16 @@ impl Domain {
                 // so in-flight scans (SeqCst hazard snapshot) observe
                 // the nulls, then hand the record back for adoption.
                 for slot in rec.hazards.iter() {
+                    // ord(reclamation, sc=hazard-scan): clears an abandoned
+                    // hazard slot; SeqCst so the clear enters the total order
+                    // before the next scan's snapshot (store-load, SS11.3) -- a
+                    // weaker clear could let a dead record protect a node
+                    // forever
                     slot.store(ptr::null_mut(), Ordering::SeqCst);
                 }
+                // ord(reclamation): returns the quarantined record to the free
+                // pool; Release publishes the slot clears to the next claimant
+                // (pairs with enter's claim CAS)
                 rec.active.store(false, Ordering::Release);
                 return true;
             }
@@ -257,6 +294,8 @@ impl Drop for Domain {
             // SAFETY: exclusive access in Drop; records were Box-allocated.
             let rec = unsafe { Box::from_raw(cur) };
             debug_assert!(
+                // ord(reclamation): exclusive (&mut) teardown; no concurrent
+                // access remains
                 !rec.active.load(Ordering::Relaxed),
                 "participant outlived its domain"
             );
@@ -269,6 +308,7 @@ impl std::fmt::Debug for Domain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Domain")
             .field("slots_per_record", &self.slots_per_record)
+            // ord(stats): Debug formatting; approximate values are fine
             .field("records", &self.record_count.load(Ordering::Relaxed))
             .finish()
     }

@@ -94,11 +94,14 @@ impl<'d> Participant<'d> {
     /// object is still reachable (e.g. re-load the source pointer) after
     /// this call and retry if not. Prefer [`protect`](Self::protect).
     pub fn set<T>(&self, slot: usize, ptr: *mut T) {
+        // ord(reclamation, sc=hazard-pub): publishes a hazard pointer
         self.slots()[slot].store(ptr.cast(), Ordering::SeqCst);
     }
 
     /// Clears hazard slot `slot`.
     pub fn clear(&self, slot: usize) {
+        // ord(reclamation): un-publishes after the protected access; Release
+        // keeps the access before the clear
         self.slots()[slot].store(ptr::null_mut(), Ordering::Release);
     }
 
@@ -111,12 +114,16 @@ impl<'d> Participant<'d> {
     /// structure retires objects only after unlinking them from `src`.
     pub fn protect<T>(&self, slot: usize, src: &AtomicPtr<T>) -> *mut T {
         inject!("hazard.protect");
+        // ord(reclamation): first read of the target pointer; Acquire so a
+        // non-null result dereferences an initialised object
         let mut p = src.load(Ordering::Acquire);
         loop {
             self.set(slot, p);
             // A stall here — hazard published but not yet validated — is
             // the schedule Michael's protocol exists to survive.
             inject!("hazard.protect.validate");
+            // ord(reclamation, sc=hazard-pub): validation re-read ordered after
+            // the hazard store
             let q = src.load(Ordering::SeqCst);
             if q == p {
                 return p;
@@ -210,12 +217,16 @@ impl Drop for Participant<'_> {
         // adoption and return the record to the domain.
         self.scan();
         for slot in self.slots() {
+            // ord(reclamation): clears remaining hazards before the record is
+            // recycled
             slot.store(ptr::null_mut(), Ordering::Release);
         }
         if !self.retired.is_empty() {
             self.domain.push_orphans(std::mem::take(&mut self.retired));
         }
         // SAFETY: record outlives participant.
+        // ord(reclamation): returns the record; Release publishes the slot
+        // clears to the next claimant (pairs with enter's claim CAS)
         unsafe { (*self.record).active.store(false, Ordering::Release) };
     }
 }

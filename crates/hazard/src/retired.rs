@@ -78,17 +78,20 @@ mod tests {
     struct Counting;
     impl Drop for Counting {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst for simplicity
             DROPS.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     #[test]
     fn reclaim_runs_drop() {
+        // ord(stats, sc): test scaffolding uses SeqCst for simplicity
         let before = DROPS.load(Ordering::SeqCst);
         // SAFETY: the Box is freshly leaked and uniquely owned.
         let r = unsafe { Retired::new(Box::into_raw(Box::new(Counting))) };
         // SAFETY: no hazard pointers exist; reclaimed exactly once.
         unsafe { r.reclaim() };
+        // ord(stats, sc): test scaffolding uses SeqCst for simplicity
         assert_eq!(DROPS.load(Ordering::SeqCst), before + 1);
     }
 
@@ -98,6 +101,7 @@ mod tests {
         // to point at a live AtomicUsize.
         unsafe fn record(p: *mut u8, ctx: *mut u8) {
             // SAFETY: test wiring — ctx is the AtomicUsize below.
+            // ord(stats, sc): test scaffolding uses SeqCst for simplicity
             unsafe { (*ctx.cast::<AtomicUsize>()).store(p as usize, Ordering::SeqCst) };
         }
         let seen = AtomicUsize::new(0);
@@ -112,6 +116,7 @@ mod tests {
         };
         // SAFETY: called once; `record` only stores to `seen`.
         unsafe { r.reclaim() };
+        // ord(stats, sc): test scaffolding uses SeqCst for simplicity
         assert_eq!(seen.load(Ordering::SeqCst), &obj as *const u8 as usize);
     }
 }

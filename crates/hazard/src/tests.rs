@@ -14,6 +14,7 @@ struct Counting {
 
 impl Drop for Counting {
     fn drop(&mut self) {
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         self.drops.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -34,8 +35,10 @@ fn retire_without_hazard_reclaims_on_scan() {
         // SAFETY: counting() leaks a fresh Box; each is retired exactly once.
         unsafe { p.retire(counting(&drops)) };
     }
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 0, "below threshold: parked");
     p.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 10);
     assert_eq!(p.reclaimed(), 10);
 }
@@ -54,15 +57,18 @@ fn protected_object_survives_scan() {
     assert_eq!(got, obj);
 
     // Unlink and retire while the other participant holds protection.
+    // ord(stats): test scaffolding
     let old = shared.swap(std::ptr::null_mut(), Ordering::AcqRel);
     // SAFETY: `old` was unlinked from `shared`; retired exactly once.
     unsafe { retirer.retire(old) };
     retirer.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 0, "hazard must block reclaim");
     assert_eq!(retirer.retired_len(), 1);
 
     protector.clear(0);
     retirer.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 1, "cleared hazard frees it");
 }
 
@@ -77,6 +83,7 @@ fn threshold_triggers_automatic_scan() {
         unsafe { p.retire(counting(&drops)) };
     }
     assert_eq!(
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         drops.load(Ordering::SeqCst),
         threshold,
         "hitting the threshold must reclaim everything unprotected"
@@ -97,13 +104,16 @@ fn domain_drop_frees_orphans() {
         {
             let mut retirer = domain.enter();
             // SAFETY: the swapped-out pointer is unlinked; retired exactly once.
+            // ord(stats): test scaffolding
             unsafe { retirer.retire(shared.swap(std::ptr::null_mut(), Ordering::AcqRel)) };
             // retirer drops here; the protected object becomes an orphan.
         }
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(holder);
         // Domain drop adopts orphans and frees them.
     }
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 1);
 }
 
@@ -132,11 +142,13 @@ fn orphans_adopted_by_next_scan() {
     {
         let mut retirer = domain.enter();
         // SAFETY: the swapped-out pointer is unlinked; retired exactly once.
+        // ord(stats): test scaffolding
         unsafe { retirer.retire(shared.swap(std::ptr::null_mut(), Ordering::AcqRel)) };
     } // orphaned, still protected
     holder.clear(0);
     let mut adopter = domain.enter();
     adopter.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 1, "adopter frees the orphan");
 }
 
@@ -177,7 +189,9 @@ fn concurrent_stress_no_use_after_free() {
                 barrier.wait();
                 for _ in 0..OPS {
                     let fresh = counting(&drops);
+                    // ord(stats): test scaffolding
                     created.fetch_add(1, Ordering::Relaxed);
+                    // ord(stats): test scaffolding
                     let old = shared.swap(fresh, Ordering::AcqRel);
                     // SAFETY: `old` was just unlinked by the swap; retired exactly once.
                     unsafe { p.retire(old) };
@@ -200,12 +214,15 @@ fn concurrent_stress_no_use_after_free() {
     });
 
     // Free the final resident object.
+    // ord(stats): test scaffolding
     let last = shared.swap(std::ptr::null_mut(), Ordering::AcqRel);
     // SAFETY: all threads joined; `last` is the only remaining object.
     unsafe { drop(Box::from_raw(last)) };
     drop(domain);
     assert_eq!(
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         drops.load(Ordering::SeqCst),
+        // ord(stats): test scaffolding
         created.load(Ordering::Relaxed),
         "every created object must be dropped exactly once"
     );
@@ -229,14 +246,17 @@ fn quarantine_clears_abandoned_hazards_and_recycles_the_record() {
 
     let mut retirer = domain.enter();
     // SAFETY: swapped out of `shared`; retired exactly once.
+    // ord(stats): test scaffolding
     unsafe { retirer.retire(shared.swap(std::ptr::null_mut(), Ordering::AcqRel)) };
     retirer.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 0, "leaked hazard still pins");
 
     // SAFETY: the leaked participant is unreachable — forget() consumed
     // the only handle to it; no code can ever use its record again.
     assert!(unsafe { domain.quarantine(token) });
     retirer.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 1, "quarantine unpins");
 
     // SAFETY: same leaked participant as above; still unreachable.
@@ -270,9 +290,11 @@ fn two_domains_are_isolated() {
 
     let mut pb = db.enter();
     // SAFETY: swapped out of `shared`; retired exactly once.
+    // ord(stats): test scaffolding
     unsafe { pb.retire(shared.swap(std::ptr::null_mut(), Ordering::AcqRel)) };
     pb.scan();
     assert_eq!(
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         drops.load(Ordering::SeqCst),
         1,
         "domain B ignores domain A's hazards (objects must not straddle domains)"

@@ -41,12 +41,16 @@ impl<T: Send> Stack<T> {
             value,
             next: std::ptr::null_mut(),
         }));
+        // ord(reclamation): test fixture: Treiber push publishing nodes whose
+        // reclamation is under test
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             // SAFETY: node not yet shared.
             unsafe { (*node).next = head };
             match self
                 .head
+                // ord(reclamation): test fixture: Treiber push publishing nodes
+                // whose reclamation is under test
                 .compare_exchange(head, node, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => return,
@@ -69,6 +73,8 @@ impl<T: Send> Stack<T> {
             let next = unsafe { (*head).next };
             if self
                 .head
+                // ord(reclamation): test fixture: Treiber pop; failure Acquire
+                // re-reads the head it will traverse from
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -115,7 +121,9 @@ fn treiber_stack_conservation_under_contention() {
                 for i in 0..PER {
                     stack.push(t * PER + i);
                     if let Some(v) = stack.pop(&mut p) {
+                        // ord(stats): test scaffolding
                         popped.fetch_add(1, Ordering::Relaxed);
+                        // ord(stats): test scaffolding
                         sum.fetch_add(v, Ordering::Relaxed);
                         assert!(v < THREADS * PER, "corrupted value {v}: use-after-free?");
                     }
@@ -123,6 +131,7 @@ fn treiber_stack_conservation_under_contention() {
             });
         }
     });
+    // ord(stats): test scaffolding
     assert!(popped.load(Ordering::Relaxed) <= THREADS * PER);
 }
 
@@ -160,6 +169,8 @@ fn retired_under_protection_survives_until_release_across_threads() {
     struct D(Arc<AtomicUsize>, u64);
     impl Drop for D {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst counters for
+            // simplicity
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -188,10 +199,12 @@ fn retired_under_protection_survives_until_release_across_threads() {
         // Writer thread: unlinks, retires, scans — must not free yet.
         held_rx.recv().unwrap();
         let mut p = domain.enter();
+        // ord(stats): test scaffolding
         let old = shared.swap(std::ptr::null_mut(), Ordering::AcqRel);
         // SAFETY: unlinked above.
         unsafe { p.retire(old) };
         p.scan();
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         assert_eq!(drops.load(Ordering::SeqCst), 0, "protected: must survive");
         hold_tx.send(()).unwrap();
     });
@@ -199,5 +212,6 @@ fn retired_under_protection_survives_until_release_across_threads() {
     // Reader gone: now it can be freed.
     let mut p = domain.enter();
     p.scan();
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 1);
 }

@@ -176,6 +176,8 @@ impl IdPool {
     pub fn in_use(&self) -> usize {
         self.slots
             .iter()
+            // ord(stats): diagnostic count; Acquire gives a conservative
+            // snapshot
             .filter(|s| state_of(s.load(Ordering::Acquire)) != FREE)
             .count()
     }
@@ -185,6 +187,8 @@ impl IdPool {
     /// after the load; act on it only through the CAS-based transitions.
     pub fn inspect(&self, id: usize) -> Option<SlotView> {
         let slot = self.slots.get(id)?;
+        // ord(doorway): reaper-side lease snapshot; Acquire pairs with the
+        // claim/reap CASes so the observed state and generation travel together
         Some(decode(slot.load(Ordering::Acquire)))
     }
 
@@ -205,6 +209,8 @@ impl IdPool {
         inject!("idpool.acquire");
         let n = self.slots.len();
         // Relaxed is fine for a pure performance hint.
+        // ord(stats): probe-start rotation hint; pure performance, no
+        // synchronization intent
         let start = self.next_hint.fetch_add(1, Ordering::Relaxed) % n;
         for probe in 0..n {
             let i = (start + probe) % n;
@@ -233,12 +239,19 @@ impl IdPool {
 
     /// One claim attempt on slot `i`: `Free(g)` → `Claimed(g)`.
     fn try_claim(&self, i: usize) -> Option<u64> {
+        // ord(doorway): speculative free-slot probe; the claim itself is the
+        // CAS below
         let word = self.slots[i].load(Ordering::Acquire);
         if state_of(word) != FREE {
             return None;
         }
         let generation = generation_of(word);
         self.slots[i]
+            // ord(doorway): claims a virtual tid with a bumped generation
+            // (SS3.3 long-lived renaming made lease-based, DESIGN.md SS13.2):
+            // success Acquire pairs with release/finish_reap so tid-associated
+            // state is visible to the new owner; a failed probe acquires
+            // nothing
             .compare_exchange(
                 word,
                 pack(generation, CLAIMED),
@@ -256,6 +269,10 @@ impl IdPool {
     fn release(&self, id: usize, generation: u64) {
         inject!("idpool.release");
         debug_assert!(id < self.slots.len());
+        // ord(doorway): returns the tid (Claimed -> Free at the owner's
+        // generation); AcqRel publishes the owner's final writes to the next
+        // claimant and fails silently on a revoked lease -- the idpool
+        // double-release protection
         let _ = self.slots[id].compare_exchange(
             pack(generation, CLAIMED),
             pack(generation + 1, FREE),
@@ -279,6 +296,10 @@ impl IdPool {
             return false;
         }
         self.slots[id]
+            // ord(doorway): lease revocation CAS (Claimed -> Reaping at the
+            // observed generation, DESIGN.md SS13.2); AcqRel acquires the
+            // owner's published state and releases reap exclusivity to
+            // finish/takeover
             .compare_exchange(
                 pack(generation, CLAIMED),
                 pack(generation, REAPING),
@@ -297,6 +318,9 @@ impl IdPool {
             return false;
         }
         self.slots[id]
+            // ord(doorway): reap completion CAS (Reaping -> Free, bumped
+            // generation); the Release half publishes the reaper's cleanup to
+            // the slot's next claimant
             .compare_exchange(
                 pack(generation, REAPING),
                 pack(generation + 1, FREE),
@@ -317,6 +341,9 @@ impl IdPool {
             return None;
         }
         self.slots[id]
+            // ord(doorway): reap adoption CAS (Reaping -> Reaping, bumped
+            // generation) invalidating a dead reaper's claim so a revived
+            // reaper cannot finish twice; same pairing as begin_reap
             .compare_exchange(
                 pack(generation, REAPING),
                 pack(generation + 1, REAPING),
@@ -564,9 +591,13 @@ mod tests {
                     barrier.wait();
                     for _ in 0..2000 {
                         if let Some(g) = pool.acquire() {
+                            // ord(stats, sc): test scaffolding uses SeqCst for
+                            // simplicity
                             owner[g.id()].store(t, Ordering::SeqCst);
                             std::hint::spin_loop();
                             assert_eq!(
+                                // ord(stats, sc): test scaffolding uses SeqCst
+                                // for simplicity
                                 owner[g.id()].load(Ordering::SeqCst),
                                 t,
                                 "two guards alive for the same ID"
@@ -598,12 +629,15 @@ mod tests {
                     s.spawn(move || {
                         barrier.wait();
                         if pool.begin_reap(0, generation) {
+                            // ord(stats, sc): test scaffolding uses SeqCst for
+                            // simplicity
                             wins.fetch_add(1, Ordering::SeqCst);
                             assert!(pool.finish_reap(0, generation));
                         }
                     });
                 }
             });
+            // ord(stats, sc): test scaffolding uses SeqCst for simplicity
             assert_eq!(wins.load(Ordering::SeqCst), 1, "exactly one reaper");
             assert_eq!(pool.acquire_exact(0).unwrap().generation(), generation + 1);
         }

@@ -253,6 +253,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
 
     /// Whether the send side has closed (last sender dropped).
     pub fn is_disconnected(&self) -> bool {
+        // ord(stats): advisory disconnect probe for callers; Acquire pairs with
+        // the latch store
         self.tx_closed.load(Ordering::Acquire)
     }
 
@@ -267,11 +269,18 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
     /// logical race: create the handles you need before the last one
     /// can go away.
     pub fn try_sender(&self) -> Result<Sender<'_, T, Q>, SubscribeError> {
+        // ord(helper-guard): refuses to mint on a closed channel; Acquire pairs
+        // with the latch store
         if self.tx_closed.load(Ordering::Acquire) {
             return Err(SubscribeError::Closed);
         }
+        // ord(stats): round-robin shard assignment ticket; pure routing, no
+        // synchronization intent
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let handle = self.shards[shard].register().map_err(SubscribeError::Capacity)?;
+        // ord(helper-guard): sender refcount up; Relaxed -- minting is ordered
+        // by the &Channel borrow, the AcqRel decrement in sender_dropped
+        // carries the ordering
         self.tx_live.fetch_add(1, Ordering::Relaxed);
         Ok(Sender::new(self, handle, shard))
     }
@@ -283,6 +292,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
 
     /// Mints a receiver holding one engine handle per shard.
     pub fn try_receiver(&self) -> Result<Receiver<'_, T, Q>, SubscribeError> {
+        // ord(helper-guard): refuses to mint on a closed channel; Acquire pairs
+        // with the latch store
         if self.rx_closed.load(Ordering::Acquire) {
             return Err(SubscribeError::Closed);
         }
@@ -293,6 +304,8 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
         // Stagger each receiver's initial sweep cursor so concurrent
         // receivers start draining *different* shards instead of all
         // contending on shard 0's head.
+        // ord(helper-guard): receiver refcount up, doubling as the sweep-cursor
+        // stagger ticket; Relaxed for the same reason as try_sender's
         let start = self.rx_live.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         Ok(Receiver::new(self, handles, start))
     }
@@ -400,12 +413,19 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
             return;
         }
         let now = self.now_ms();
+        // ord(stats): tick-due probe on the watchdog's claim word; Relaxed --
+        // recency not ordering, a stale read only delays a tick by one interval
         let last = self.tick_claim.load(Ordering::Relaxed);
         if now.saturating_sub(last) < self.overload.tick_interval.as_millis() as u64 {
             return;
         }
         if self
             .tick_claim
+            // ord(helper-guard): elects one tick claimant per interval (the
+            // threadless watchdog, DESIGN.md SS16.3); Relaxed is sound because
+            // the gauges the winner reads are advisory relaxed counters and the
+            // state machine publishes through ShardHealth's Release stores, not
+            // through this CAS
             .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
             .is_err()
         {
@@ -521,21 +541,30 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
     // ---- handle drop accounting ----
 
     pub(crate) fn sender_dropped(&self) {
+        // ord(helper-guard): last-sender detection: AcqRel so the ==1 winner
+        // observes every peer's sends before latching
         if self.tx_live.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender: latch the disconnect, then broadcast so
             // parked receivers re-check and observe it. The store is
             // ordered before the registry critical section every woken
             // receiver passes through in `cancel_waiter`.
+            // ord(doorway): the disconnect latch -- the point after which recv
+            // returns Disconnected; Release publishes it to the Acquire polls,
+            // and the wake_all broadcast re-checks it under the registry lock
             self.tx_closed.store(true, Ordering::Release);
             self.wake_all();
         }
     }
 
     pub(crate) fn receiver_dropped(&self) {
+        // ord(helper-guard): last-receiver detection: AcqRel mirror of
+        // sender_dropped
         if self.rx_live.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Latch first, then broadcast to capacity-parked senders:
             // with no receivers left nobody will ever free a slot, so
             // every parked sender must wake and observe Disconnected.
+            // ord(doorway): the send-side disconnect latch; senders poll it in
+            // their backpressure loops, so no broadcast is needed
             self.rx_closed.store(true, Ordering::Release);
             for reg in self.tx_parks.iter() {
                 reg.wake_all();
@@ -544,10 +573,14 @@ impl<T: Send, Q: ConcurrentQueue<T>> Channel<T, Q> {
     }
 
     pub(crate) fn rx_closed(&self) -> bool {
+        // ord(helper-guard): send-path disconnect poll; Acquire pairs with the
+        // latch store
         self.rx_closed.load(Ordering::Acquire)
     }
 
     pub(crate) fn tx_closed(&self) -> bool {
+        // ord(helper-guard): recv-path disconnect poll; Acquire pairs with the
+        // latch store
         self.tx_closed.load(Ordering::Acquire)
     }
 }
@@ -556,7 +589,9 @@ impl<T: Send, Q: ConcurrentQueue<T>> std::fmt::Debug for Channel<T, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Channel")
             .field("shards", &self.shards.len())
+            // ord(stats): Debug formatting; approximate values are fine
             .field("tx_live", &self.tx_live.load(Ordering::Relaxed))
+            // ord(stats): Debug formatting; approximate values are fine
             .field("rx_live", &self.rx_live.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }

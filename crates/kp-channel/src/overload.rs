@@ -245,19 +245,30 @@ impl ShardHealth {
     }
 
     pub(crate) fn state(&self) -> HealthState {
+        // ord(helper-guard): watchdog-state read; Acquire pairs with the
+        // Release transitions so a sender acting on Quarantined sees the
+        // transition's bookkeeping (baseline, probe pacing)
         decode(self.state.load(Ordering::Acquire))
     }
 
     /// Whether the last tick flagged pressure growth over quota.
     pub(crate) fn pressure_hot(&self) -> bool {
+        // ord(helper-guard): reads the tick claimant's pressure verdict;
+        // Acquire pairs with observe's Release store -- senders must not
+        // recompute the delta themselves (it would race the claimant's
+        // prev_pressure swap)
         self.hot.load(Ordering::Acquire) != 0
     }
 
     pub(crate) fn quarantine_count(&self) -> u64 {
+        // ord(stats): quarantine-counter snapshot; Relaxed pairs with the
+        // Relaxed bump
         self.quarantines.load(Ordering::Relaxed)
     }
 
     pub(crate) fn probe_count(&self) -> u64 {
+        // ord(stats): probe-counter snapshot; Relaxed pairs with the Relaxed
+        // bump
         self.probes.load(Ordering::Relaxed)
     }
 
@@ -286,8 +297,14 @@ impl ShardHealth {
         cfg: &OverloadConfig,
     ) -> Option<HealthEvent> {
         if let Some(quota) = cfg.pressure_quota {
+            // ord(helper-guard): per-tick pressure delta base: swap installs
+            // this tick's reading and returns the last; single tick claimant,
+            // so Relaxed suffices -- readers take the verdict from `hot`, never
+            // from this word
             let prev = self.prev_pressure.swap(g.pressure, Ordering::Relaxed);
             let grew = g.pressure.saturating_sub(prev) > quota;
+            // ord(helper-guard): publishes the pressure verdict; Release so a
+            // sender's Acquire read observes a coherent flag
             self.hot.store(grew as u8, Ordering::Release);
         }
         if !cfg.watchdog {
@@ -298,9 +315,19 @@ impl ShardHealth {
                 // Suspicion needs a drain gauge to baseline against;
                 // without one the oracle cannot run.
                 if let (true, Some(drained)) = (self.overloaded(g, cfg), g.drained) {
+                    // ord(helper-guard): freeze-oracle baseline: drain counter
+                    // at suspicion time; Relaxed -- only the tick claimant and
+                    // the inline re-admission read it, both advisory
                     self.baseline_drained.store(drained, Ordering::Relaxed);
+                    // ord(helper-guard): no-progress tick counter reset;
+                    // tick-claimant-private between ticks
                     self.stall_ticks.store(0, Ordering::Relaxed);
+                    // ord(helper-guard): suspicion wall-clock stamp for the
+                    // min_stall floor; tick-claimant-private
                     self.suspect_since_ms.store(now_ms, Ordering::Relaxed);
+                    // ord(helper-guard): Healthy -> Suspect; Release publishes
+                    // the baseline/stamp stores above to a future claimant's
+                    // Acquire state read
                     self.state.store(ST_SUSPECT, Ordering::Release);
                 }
                 None
@@ -308,18 +335,35 @@ impl ShardHealth {
             HealthState::Suspect => {
                 let progressed = g
                     .drained
+                    // ord(helper-guard): baseline read for the progress check;
+                    // Relaxed, advisory gauge comparison
                     .is_some_and(|d| d > self.baseline_drained.load(Ordering::Relaxed));
                 if progressed || !self.overloaded(g, cfg) {
+                    // ord(helper-guard): Suspect -> Healthy (drain progressed
+                    // or load receded); Release for symmetry with the other
+                    // transitions
                     self.state.store(ST_HEALTHY, Ordering::Release);
                     return None;
                 }
+                // ord(helper-guard): counts a no-progress tick toward the
+                // stall_ticks patience; tick-claimant-private between ticks
                 let ticks = self.stall_ticks.fetch_add(1, Ordering::Relaxed) + 1;
+                // ord(helper-guard): suspicion stamp read for the wall-clock
+                // floor; tick-claimant-private
                 let stalled_ms = now_ms.saturating_sub(self.suspect_since_ms.load(Ordering::Relaxed));
                 if ticks >= cfg.stall_ticks && stalled_ms >= cfg.min_stall.as_millis() as u64 {
+                    // ord(stats): times-quarantined counter; no synchronization
+                    // intent
                     self.quarantines.fetch_add(1, Ordering::Relaxed);
                     // Pace the first probe a full interval out: the
                     // shard was *just* observed stalled.
+                    // ord(helper-guard): paces the first probe a full interval
+                    // out from the quarantine instant; claimed later by CAS in
+                    // claim_probe
                     self.last_probe_ms.store(now_ms, Ordering::Relaxed);
+                    // ord(helper-guard): Suspect -> Quarantined; Release
+                    // publishes the probe pacing and counters to senders'
+                    // Acquire state reads
                     self.state.store(ST_QUARANTINED, Ordering::Release);
                     return Some(HealthEvent::Quarantined);
                 }
@@ -336,11 +380,19 @@ impl ShardHealth {
     pub(crate) fn try_readmit(&self, g: &Gauges, cfg: &OverloadConfig) -> Option<HealthEvent> {
         let progressed = g
             .drained
+            // ord(helper-guard): baseline read for the re-admission progress
+            // check; Relaxed, advisory gauge comparison
             .is_some_and(|d| d > self.baseline_drained.load(Ordering::Relaxed));
         if progressed
             && !self.overloaded(g, cfg)
             && self
                 .state
+                // ord(helper-guard): Quarantined -> Healthy re-admission CAS,
+                // raced by the tick claimant and every refused sender (inline
+                // promptness); a CAS so exactly one winner reports the
+                // Readmitted event (and wakes the shard's parked senders);
+                // AcqRel publishes the winner's view, failure Acquire only
+                // observes the state
                 .compare_exchange(
                     ST_QUARANTINED,
                     ST_HEALTHY,
@@ -358,15 +410,22 @@ impl ShardHealth {
     /// value is admitted into the quarantined shard so a recovered
     /// consumer can prove itself by draining it.
     pub(crate) fn claim_probe(&self, now_ms: u64, cfg: &OverloadConfig) -> bool {
+        // ord(helper-guard): probe-due probe; Relaxed -- staleness only delays
+        // a probe
         let last = self.last_probe_ms.load(Ordering::Relaxed);
         if now_ms.saturating_sub(last) < cfg.probe_interval.as_millis() as u64 {
             return false;
         }
         let won = self
             .last_probe_ms
+            // ord(helper-guard): elects one paced probe per interval among
+            // refused senders; Relaxed is sound -- the admitted value travels
+            // through the engine's own synchronization, this CAS only rations
+            // the slots
             .compare_exchange(last, now_ms, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok();
         if won {
+            // ord(stats): probes-admitted counter; no synchronization intent
             self.probes.fetch_add(1, Ordering::Relaxed);
         }
         won

@@ -89,7 +89,12 @@ impl ParkRegistry {
         let id = w.next_id;
         w.next_id += 1;
         w.slots.push_back((id, kind));
+        // ord(doorway, sc=park-dekker): sleepers gauge up under the registry
+        // lock: the Dekker publication a notifier's post-step gauge read must
+        // observe
         self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // ord(stats): total-parks counter for HealthSnapshot; no
+        // synchronization intent
         self.parks.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -102,6 +107,8 @@ impl ParkRegistry {
         let mut w = self.lock();
         if let Some(pos) = w.slots.iter().position(|(i, _)| *i == id) {
             w.slots.remove(pos);
+            // ord(doorway, sc=park-dekker): sleepers gauge down on withdrawal,
+            // balancing register under the registry lock
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             true
         } else {
@@ -138,6 +145,9 @@ impl ParkRegistry {
             let mut w = self.lock();
             let popped = w.slots.pop_front();
             if popped.is_some() {
+                // ord(doorway, sc=park-dekker): sleepers gauge down as the
+                // notifier pops a waiter; keeps the gauge equal to the FIFO
+                // length
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
             }
             popped
@@ -145,6 +155,8 @@ impl ParkRegistry {
         match popped {
             // Wake outside the lock: a waker may run scheduler code.
             Some((_, kind)) => {
+                // ord(stats): wake-tokens-spent counter for HealthSnapshot; no
+                // synchronization intent
                 self.wakes.fetch_add(1, Ordering::Relaxed);
                 kind.wake();
                 true
@@ -160,6 +172,9 @@ impl ParkRegistry {
         if n == 0 {
             return;
         }
+        // ord(doorway, sc=park-dekker): notifier-side Dekker check after the
+        // engine steps: a nonzero gauge means a waiter may have registered
+        // before the condition turned true; also bounds the wake fan-out
         let sleeping = self.sleepers.load(Ordering::SeqCst);
         for _ in 0..n.min(sleeping) {
             if !self.wake_one() {
@@ -175,16 +190,23 @@ impl ParkRegistry {
 
     /// Current gauge value (diagnostics).
     pub(crate) fn sleepers(&self) -> usize {
+        // ord(stats, sc): gauge snapshot for diagnostics and snapshot surfaces;
+        // SeqCst matches the gauge's writers for simplicity; callers treat the
+        // value as advisory
         self.sleepers.load(Ordering::SeqCst)
     }
 
     /// Total registrations so far.
     pub(crate) fn park_count(&self) -> u64 {
+        // ord(stats): parks-counter snapshot; Relaxed pairs with the Relaxed
+        // bump
         self.parks.load(Ordering::Relaxed)
     }
 
     /// Total wake tokens spent so far.
     pub(crate) fn wake_count(&self) -> u64 {
+        // ord(stats): wakes-counter snapshot; Relaxed pairs with the Relaxed
+        // bump
         self.wakes.load(Ordering::Relaxed)
     }
 }

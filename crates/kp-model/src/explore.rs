@@ -92,11 +92,11 @@ enum StepKind {
 }
 
 /// The names of every step the explorer enumerates, in `StepKind`
-/// declaration order. This is the model-side vocabulary the
-/// `ATOMICS.toml` manifest's `model_steps` fields must draw from — the
+/// declaration order. This is the model-side vocabulary the `steps=`
+/// field of a `// ord(linearization, ...)` tag must draw from — the
 /// atomics-audit cross-reference test ties each `linearization`-tagged
-/// call site in the implementation to one of these steps, so the two
-/// artifacts cannot drift apart silently.
+/// call site in the implementation to one of these steps, so the code
+/// and the model cannot drift apart silently.
 pub const STEP_NAMES: &[&str] = &[
     "Publish",
     "Append",

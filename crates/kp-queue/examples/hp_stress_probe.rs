@@ -38,8 +38,10 @@ fn main() {
                     for i in 0..iters {
                         h.enqueue(i as u64);
                         h.dequeue();
+                        // ord(stats): stress-probe progress reporting
                         progress[t].store(i, Ordering::Relaxed);
                     }
+                    // ord(stats): stress-probe progress reporting
                     done.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -48,10 +50,12 @@ fn main() {
             let mut last_change = Instant::now();
             loop {
                 std::thread::sleep(Duration::from_millis(500));
+                // ord(stats): stress-probe progress reporting
                 if done.load(Ordering::Relaxed) == threads {
                     return;
                 }
                 let now: Vec<usize> =
+                    // ord(stats): stress-probe progress reporting
                     progress.iter().map(|p| p.load(Ordering::Relaxed)).collect();
                 if now != last {
                     last = now;

@@ -166,6 +166,9 @@ impl StateSlot {
     /// successive reads for *equality* across a patience window; no
     /// ordering with other memory is implied or needed.
     pub(crate) fn load_beat(&self) -> u64 {
+        // ord(stats): heartbeat read for the freeze oracle (DESIGN.md SS13.3);
+        // Relaxed -- liveness detection needs recency, not ordering, and a
+        // missed bump only delays a reap by one patience window
         self.beat.load(Ordering::Relaxed)
     }
 
@@ -174,7 +177,11 @@ impl StateSlot {
     ///
     /// [`load_beat`]: StateSlot::load_beat
     pub(crate) fn bump_beat(&self) {
+        // ord(stats): heartbeat bump (owner is the only writer); Relaxed for
+        // the same reason as load_beat
         self.beat.store(
+            // ord(stats): heartbeat bump (owner is the only writer); Relaxed
+            // for the same reason as load_beat
             self.beat.load(Ordering::Relaxed).wrapping_add(1),
             Ordering::Relaxed,
         );
@@ -192,15 +199,23 @@ impl StateSlot {
     /// [`bump_beat`]: StateSlot::bump_beat
     /// [`load_beat`]: StateSlot::load_beat
     pub(crate) fn bump_beat_shared(&self) {
+        // ord(stats): heartbeat bump from handle Drop, which may race a
+        // successor owner after a reap; a real RMW (unlike bump_beat's
+        // load+store) cannot swallow the successor's increment, and Relaxed
+        // suffices as for load_beat
         self.beat.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn load_ctrl(&self, ord: Ordering) -> CtrlWord {
+        // ord(helper-guard): caller-chosen ordering: SeqCst on help paths
+        // (pending-check coherence), Acquire in epilogues
         CtrlWord(self.ctrl.load(ord))
     }
 
     /// The slot's phase word alone (`maxPhase()` scans only this).
     pub(crate) fn load_phase(&self, ord: Ordering) -> i64 {
+        // ord(doorway): phase read for the Lemma-1 helping decision; callers
+        // pass SeqCst on hot paths
         self.phase.load(ord)
     }
 
@@ -211,7 +226,11 @@ impl StateSlot {
     /// and write-read coherence forces this later load to return it or
     /// a newer (higher) phase.
     pub(crate) fn view(&self, ctrl_ord: Ordering) -> (CtrlWord, i64) {
+        // ord(helper-guard): ctrl half of the (ctrl, phase) snapshot,
+        // caller-chosen ordering
         let w = CtrlWord(self.ctrl.load(ctrl_ord));
+        // ord(helper-guard): phase half; publish stores phase before ctrl, so
+        // Acquire here sees the phase that belongs to the observed ctrl
         (w, self.phase.load(Ordering::Acquire))
     }
 
@@ -226,9 +245,14 @@ impl StateSlot {
     pub(crate) fn publish(&self, phase: i64, node_addr: usize, enqueue: bool) {
         // Own slot; the current word is final, so Relaxed reads the
         // one value any thread could read.
+        // ord(helper-guard): own slot's version bits; the owner is the only
+        // writer between publishes
         let cur = CtrlWord(self.ctrl.load(Ordering::Relaxed));
         debug_assert!(!cur.pending(), "publishing over a pending operation");
+        // ord(doorway, sc=doorway): announces the operation's phase
         self.phase.store(phase, Ordering::SeqCst);
+        // ord(doorway, sc=doorway): descriptor becomes pending; must follow its
+        // phase in the total order
         self.ctrl.store(
             CtrlWord::pack(node_addr, true, enqueue) | cur.next_version(),
             Ordering::SeqCst,
@@ -239,8 +263,11 @@ impl StateSlot {
     /// on exit"), with a version bump so stale helper CASes keep
     /// failing after the slot is handed to its next owner.
     pub(crate) fn reset(&self) {
+        // ord(helper-guard): own slot's version bits; owner-only write window
         let cur = CtrlWord(self.ctrl.load(Ordering::Relaxed));
+        // ord(doorway, sc=reset): idle-transition phase store
         self.phase.store(-1, Ordering::SeqCst);
+        // ord(doorway, sc=reset): idle-transition ctrl store
         self.ctrl.store(
             CtrlWord::pack(0, false, true) | cur.next_version(),
             Ordering::SeqCst,
@@ -271,6 +298,9 @@ impl StateSlot {
             "only pending descriptors are ever transitioned (invariant 1)"
         );
         self.ctrl
+            // ord(linearization, sc=ctrl, steps=AckEnq+AckDeq+Stage0Empty+Stage0NonEmpty+Restage):
+            // the version-tagged exactly-once descriptor transition (step 2 of
+            // Figures 5-6)
             .compare_exchange(
                 cur.0,
                 fields | cur.next_version(),
@@ -306,6 +336,14 @@ impl StateSlot {
             "reap must complete the pending op before retiring the slot"
         );
         self.ctrl
+            // ord(linearization, sc, steps=ReapClaim): the reap election CAS:
+            // blanks the victim's observed descriptor word exactly once, and
+            // the unique winner owns the destructive reap steps (orphaned
+            // result claim, quarantine) -- the claim-safety rule of DESIGN.md
+            // SS13.4; SeqCst: the retirement must enter the single total order
+            // with helpers' SeqCst pending checks, or a helper could act on a
+            // blanked descriptor (and two stale-word reapers could both win the
+            // election)
             .compare_exchange(
                 cur.0,
                 CtrlWord::pack(0, false, true) | cur.next_version(),

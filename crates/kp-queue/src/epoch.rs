@@ -64,6 +64,8 @@ impl Backend for Epoch {
         let current = epoch::participant_token();
         if current != local.token {
             local.token = current;
+            // ord(reclamation, sc=token): publishes the handle's
+            // epoch-participant token for a future reap (DESIGN.md SS13.4)
             token.store(current, Ordering::SeqCst);
         }
     }
@@ -84,6 +86,9 @@ impl Backend for Epoch {
         _slot: usize,
         src: &AtomicPtr<Node<T>>,
     ) -> *mut Node<T> {
+        // ord(helper-guard, sc=help): the head/tail read opening every help and
+        // fast-path loop (L69, L86, L111, L142); the operation's pin already
+        // protects the node
         src.load(Ordering::SeqCst)
     }
 
@@ -163,6 +168,14 @@ impl Backend for Epoch {
             tokens
                 .iter()
                 .enumerate()
+                // ord(reclamation, sc): publisher scan (DESIGN.md SS13.4):
+                // spares the quarantine when any live handle still publishes
+                // the victim's token; SeqCst: the scan must be ordered after
+                // this reaper's own token swap in the single total order with
+                // every other reaper's swap+scan and every handle's
+                // publish-before-pin, or two racing reapers could both see the
+                // other's not-yet-swapped victim entry and both skip a
+                // genuinely wedged quarantine
                 .any(|(i, t)| i != victim && t.load(Ordering::SeqCst) == token)
         };
         token != epoch::participant_token()
@@ -195,6 +208,8 @@ impl Backend for Epoch {
         // left to protect, and clearing the slot stops a later reap of
         // this ID's next lease from acting on a stale token.
         drop(guard);
+        // ord(reclamation, sc=token): retracts the epoch token after the exit's
+        // unpin, before the id can recycle; mirrors announce's publication
         token.store(0, Ordering::SeqCst);
     }
 }

@@ -108,6 +108,8 @@ impl Backend for Hazard {
         // Published before the handle can operate: if this handle dies,
         // a reaper quarantines the record through this token so its
         // hazards stop blocking reclamation.
+        // ord(reclamation, sc=token): publishes the new participant's
+        // hazard-record token for a future reap (DESIGN.md SS13.4)
         token.store(participant.record_token(), Ordering::SeqCst);
         HazardLocal {
             participant: ManuallyDrop::new(participant),
@@ -141,6 +143,9 @@ impl Backend for Hazard {
         anchor: *mut Node<T>,
     ) -> bool {
         local.participant.set(H_NEXT, next);
+        // ord(reclamation, sc=hazard-pub): validating head/tail re-read after
+        // publishing the successor's hazard: the anchor still in place proves
+        // the successor was not retired
         src.load(Ordering::SeqCst) == anchor
     }
 
@@ -178,6 +183,8 @@ impl Backend for Hazard {
     unsafe fn consume<T>(node: *mut Node<T>, pool: &NodePool<Node<T>>) {
         // SAFETY: the gate keeps `node` allocated until this fetch_or —
         // the owner's half, executed once (caller contract).
+        // ord(reclamation): owner's half of the two-token disposal gate; AcqRel
+        // makes exactly one side observe both tokens and free the node
         let prev = unsafe { (*node).tokens.fetch_or(TOKEN_CONSUMED, Ordering::AcqRel) };
         if prev & TOKEN_RECLAIM_READY != 0 {
             // SAFETY: both tokens observed — the scan found the node
@@ -221,6 +228,9 @@ impl Backend for Hazard {
     fn exiting(token: &AtomicUsize) {
         // Before the ID can be recycled: a later reap of this slot must
         // not quarantine our (dropped, possibly re-adopted) record.
+        // ord(reclamation, sc=token): retracts the hazard-record token before
+        // the exit cleanup, before the id can recycle; mirrors enter's
+        // publication
         token.store(0, Ordering::SeqCst);
     }
 
@@ -252,6 +262,8 @@ pub(crate) unsafe fn reclaim_into_pool<T>(ptr: *mut u8, ctx: *mut u8) {
     let prev = unsafe {
         (*node)
             .tokens
+            // ord(reclamation): scan's half of the two-token disposal gate;
+            // AcqRel mirrors consume
             .fetch_or(TOKEN_RECLAIM_READY, Ordering::AcqRel)
     };
     if prev & TOKEN_CONSUMED != 0 {
@@ -299,6 +311,7 @@ mod tests {
         unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };
         assert!(pool.steal().is_null(), "not yet");
         // SAFETY: `n` is still live — the two-token gate is not yet complete.
+        // ord(stats): test drives the two-token gate directly
         let prev = unsafe { (*n).tokens.fetch_or(TOKEN_CONSUMED, Ordering::AcqRel) };
         assert_eq!(prev, TOKEN_RECLAIM_READY);
         // SAFETY: owner epilogue — `n` carries both tokens; the pool takes ownership.
@@ -306,6 +319,7 @@ mod tests {
         assert_eq!(pool.steal(), n);
         // Order 2: owner first, then scan releases.
         // SAFETY: `n` was stolen back above; the test owns it exclusively.
+        // ord(stats): test drives the two-token gate directly
         unsafe { (*n).tokens.store(TOKEN_CONSUMED, Ordering::Relaxed) };
         // SAFETY: reverse order — the scan's disposal runs after the owner's token.
         unsafe { reclaim_into_pool::<u32>(n.cast(), ctx) };

@@ -71,6 +71,8 @@ fn values_dropped_exactly_once() {
     struct CountDrop(Arc<AtomicUsize>);
     impl Drop for CountDrop {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst counters for
+            // simplicity
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -84,10 +86,12 @@ fn values_dropped_exactly_once() {
         for _ in 0..120 {
             drop(h.dequeue());
         }
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         assert_eq!(drops.load(Ordering::SeqCst), 120, "dequeued values drop");
         drop(h);
     }
     assert_eq!(
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         drops.load(Ordering::SeqCst),
         300,
         "resident values drop exactly once at queue drop"
@@ -213,6 +217,8 @@ fn fast_path_values_dropped_exactly_once() {
     struct CountDrop(Arc<AtomicUsize>);
     impl Drop for CountDrop {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst counters for
+            // simplicity
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -226,9 +232,11 @@ fn fast_path_values_dropped_exactly_once() {
         for _ in 0..120 {
             drop(h.dequeue());
         }
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         assert_eq!(drops.load(Ordering::SeqCst), 120);
         drop(h);
     }
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(drops.load(Ordering::SeqCst), 300, "no double drop, no leak");
 }
 

@@ -88,6 +88,8 @@ impl<T> Node<T> {
     /// consume it, so the hazard scan alone completes the gate.
     pub(crate) fn sentinel() -> Self {
         let node = Node::new(None, usize::MAX);
+        // ord(reclamation): single-threaded initialisation before the structure
+        // is shared
         node.tokens.store(TOKEN_CONSUMED, Ordering::Relaxed);
         node
     }
@@ -103,8 +105,14 @@ impl<T> Node<T> {
     pub(crate) unsafe fn reuse(node: *mut Self, value: T, enq_tid: usize) {
         // SAFETY: exclusive ownership (caller contract).
         unsafe {
+            // ord(reclamation): re-initialises a recycled node while
+            // exclusively owned, before republication
             (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+            // ord(reclamation): re-initialises a recycled node while
+            // exclusively owned, before republication
             (*node).deq_tid.store(NO_DEQUEUER, Ordering::Relaxed);
+            // ord(reclamation): re-initialises a recycled node while
+            // exclusively owned, before republication
             (*node).tokens.store(0, Ordering::Relaxed);
             (*node).enq_tid = enq_tid;
             *(*node).value.get() = Some(value);
@@ -120,10 +128,16 @@ impl<T> Node<T> {
 // is free for the pool and the node's stealer to use.
 unsafe impl<T> PoolNode for Node<T> {
     fn free_next(&self) -> *mut Self {
+        // ord(reclamation): pool link through an unreachable node's next
+        // (matured, or released by the token gate), read by its exclusive owner
+        // (stealer or pool teardown); Relaxed -- the pool's Release CAS /
+        // Acquire swap order it
         self.next.load(Ordering::Relaxed)
     }
 
     fn set_free_next(&self, next: *mut Self) {
+        // ord(reclamation): relinks an unreachable, exclusively owned node's
+        // next into a pool chain before the pool's Release CAS publishes it
         self.next.store(next, Ordering::Relaxed);
     }
 }
@@ -135,6 +149,7 @@ mod tests {
     #[test]
     fn fresh_node_is_unlocked() {
         let n: Node<u32> = Node::new(Some(5), 3);
+        // ord(stats): test scaffolding
         assert_eq!(n.deq_tid.load(Ordering::Relaxed), NO_DEQUEUER);
         assert_eq!(n.enq_tid, 3);
         // SAFETY: `n` is owned by the test; no concurrent access to the cell.
@@ -162,7 +177,9 @@ mod tests {
         unsafe {
             assert_eq!(*(*n).value.get(), Some(5));
             assert_eq!((*n).enq_tid, 2);
+            // ord(stats): test scaffolding
             assert_eq!((*n).deq_tid.load(Ordering::Relaxed), NO_DEQUEUER);
+            // ord(stats): test scaffolding
             assert_eq!((*n).tokens.load(Ordering::Relaxed), 0);
             drop(Box::from_raw(n));
         }
@@ -171,6 +188,7 @@ mod tests {
     #[test]
     fn sentinels_are_born_consumed() {
         let s: Node<u32> = Node::sentinel();
+        // ord(stats): test scaffolding
         assert_eq!(s.tokens.load(Ordering::Relaxed), TOKEN_CONSUMED);
         // SAFETY: `s` is owned by the test; no concurrent access to the cell.
         assert!(unsafe { (*s.value.get()).is_none() });

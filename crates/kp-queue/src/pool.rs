@@ -79,6 +79,7 @@ impl<N: PoolNode> NodePool<N> {
 
     /// Nodes freed past the cap so far (see the `overflows` field).
     pub(crate) fn overflows(&self) -> u64 {
+        // ord(stats): backpressure counter snapshot
         self.overflows.load(Ordering::Relaxed) as u64
     }
 
@@ -102,13 +103,18 @@ impl<N: PoolNode> NodePool<N> {
     /// other thread can reach any of them any more — and give each up
     /// here once per lifetime generation.
     pub(crate) unsafe fn push_chain(&self, first: *mut N, last: *mut N, n: usize) {
+        // ord(reclamation): bounded-pool size check; advisory
         if self.len.load(Ordering::Relaxed) + n <= POOL_CAP {
+            // ord(reclamation): head read for the push loop
             let mut head = self.head.load(Ordering::Relaxed);
             for _ in 0..PUSH_ATTEMPTS {
                 // SAFETY: exclusive ownership (caller contract); the
                 // Release CAS below orders this write before the chain
                 // becomes reachable from the shared head.
                 unsafe { (*last).set_free_next(head) };
+                // ord(reclamation): publishes the chain to the Treiber
+                // freelist; Release orders the last node's free link before
+                // publication; failed pushes retry with a fresh head read
                 match self.head.compare_exchange_weak(
                     head,
                     first,
@@ -116,6 +122,7 @@ impl<N: PoolNode> NodePool<N> {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        // ord(reclamation): approximate freelist length
                         self.len.fetch_add(n, Ordering::Relaxed);
                         return;
                     }
@@ -127,6 +134,8 @@ impl<N: PoolNode> NodePool<N> {
         // no stealer ever dereferences shared nodes — the chain was never
         // published, so we still own it. This is the backpressure path —
         // count it.
+        // ord(stats): memory-pressure backpressure counter (DESIGN.md SS13.5):
+        // nodes freed past the pool cap
         self.overflows.fetch_add(n, Ordering::Relaxed);
         // SAFETY: exclusive ownership; terminate the chain so the walk
         // frees exactly its `n` nodes.
@@ -145,8 +154,14 @@ impl<N: PoolNode> NodePool<N> {
         // push racing the last steal left overcounted (its `fetch_add`
         // landing after the steal's reset): without that, a stale count
         // near the cap would refuse every push and starve the pool.
+        // ord(reclamation): empty probe before the swap; Relaxed -- a stale
+        // non-null only costs a swap that finds nothing, a stale null defers
+        // the steal to the next call
         if self.head.load(Ordering::Relaxed).is_null() {
+            // ord(reclamation): length read for the empty-pool repair; advisory
             if self.len.load(Ordering::Relaxed) != 0 {
+                // ord(reclamation): resets a length a racing push left
+                // overcounted once the pool is seen empty; advisory bound only
                 self.len.store(0, Ordering::Relaxed);
             }
             return ptr::null_mut();
@@ -155,10 +170,14 @@ impl<N: PoolNode> NodePool<N> {
         // release sequence on `head`, with every earlier push): the
         // private walk that follows sees every link written before
         // publish.
+        // ord(reclamation): takes the whole freelist; Acquire pairs with
+        // push_chain's Release (and its release sequence) so the links are
+        // visible
         let head = self.head.swap(ptr::null_mut(), Ordering::Acquire);
         if !head.is_null() {
             // Racy vs concurrent pushes — at worst the pool briefly
             // miscounts toward POOL_CAP. Growth stays bounded.
+            // ord(reclamation): approximate length reset
             self.len.store(0, Ordering::Relaxed);
         }
         head
@@ -304,6 +323,7 @@ mod tests {
     #[test]
     fn empty_steal_repairs_an_overcounted_len() {
         let pool: NodePool<Node<u32>> = NodePool::new();
+        // ord(stats): test scaffolding
         pool.len.store(POOL_CAP, Ordering::Relaxed);
         assert!(pool.steal().is_null());
         let a = Node::boxed(None, 0);

@@ -176,8 +176,16 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     /// CAS) provides. Callers keep the walk safe: an epoch pin, or
     /// quiescence.
     pub(crate) fn head_next(&self) -> *mut Node<T> {
+        // ord(stats): advisory head and head.next reads under
+        // len_approx/is_empty (epoch pin) or len_approx_quiescent (quiescence);
+        // Acquire (release half of the append CAS) suffices to dereference
+        // initialised nodes
         let head = self.head.load(Ordering::Acquire);
         // SAFETY: head is never null; the caller keeps it live.
+        // ord(stats): advisory head and head.next reads under
+        // len_approx/is_empty (epoch pin) or len_approx_quiescent (quiescence);
+        // Acquire (release half of the append CAS) suffices to dereference
+        // initialised nodes
         unsafe { (*head).next.load(Ordering::Acquire) }
     }
 
@@ -190,6 +198,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             n += 1;
             // SAFETY: a non-null `next` reaches an initialised node the
             // caller keeps live — same argument as for `head`.
+            // ord(stats): advisory O(n) walk; same argument as head_next
             cur = unsafe { (*cur).next.load(Ordering::Acquire) };
         }
         n
@@ -221,6 +230,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     pub(crate) fn next_phase(&self, tid: usize) -> i64 {
         match self.config.phase {
             PhasePolicy::MaxScan => self.max_phase(tid) + 1,
+            // ord(doorway, sc=doorway): monotone phase ticket (SS3.3
+            // AtomicCounter policy)
             PhasePolicy::AtomicCounter => self.phase_counter.fetch_add(1, Ordering::SeqCst) + 1,
         }
     }
@@ -284,7 +295,10 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // is retired only after head moves off it, which cannot
             // happen while it is still the tail (and recycled nodes obey
             // the same protection as freed ones).
+            // ord(helper-guard, sc=help): protected tail's next read (L70)
             let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L70
+            // ord(helper-guard, sc=help): tail re-validation before the append
+            // (L71)
             if last != self.tail.load(Ordering::SeqCst) {
                 continue; // L71 failed
             }
@@ -311,6 +325,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     let node = w.node_ptr::<Node<T>>();
                     // SAFETY: `last` is protected (see above).
                     let appended = unsafe {
+                        // ord(linearization, sc=append, steps=Append): the
+                        // append CAS (L74)
                         (*last).next.compare_exchange(
                             ptr::null_mut(),
                             node,
@@ -343,6 +359,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     pub(crate) fn help_finish_enq(&self, local: &R::HandleState<'_, T>) {
         let last = R::protect(local, H_NODE, &self.tail); // L86
         // SAFETY: as in `help_enq`.
+        // ord(helper-guard, sc=help): appended-node read (L87)
         let next = unsafe { (*last).next.load(Ordering::SeqCst) }; // L87
         if next.is_null() {
             return;
@@ -365,6 +382,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             inject!(R::SITES.swing_tail);
             let _ = self
                 .tail
+                // ord(helper-guard, sc=swing): FAST_ENQUEUER branch:
+                // unconditional tail swing past a fast-appended node (no
+                // descriptor to ack; model FastFixTail)
                 .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
             R::clear(local, H_NEXT);
             return;
@@ -388,6 +408,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         // refers to the dangling node (guards against a racing
         // help_finish_enq having already completed a *different*
         // operation of the same thread).
+        // ord(helper-guard, sc=help): tail re-validation (L91)
         if self.tail.load(Ordering::SeqCst) == last && cur.node_addr() == next as usize {
             inject!(R::SITES.clear_pending_enq);
             // §3.3 enhancement: skip the descriptor CAS when the flag
@@ -402,6 +423,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // succeeds; the others observe tail already advanced.
             let _ = self
                 .tail
+                // ord(helper-guard, sc=swing): tail swing (L94, model FixTail)
                 .compare_exchange(last, next, Ordering::SeqCst, Ordering::Relaxed);
         }
         R::clear(local, H_NEXT);
@@ -424,10 +446,14 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     ) {
         while self.is_still_pending(tid, ph) {
             let first = R::protect(local, H_NODE, &self.head); // L111
+            // ord(helper-guard, sc=help): tail read for the empty/lag
+            // classification (L112)
             let last = self.tail.load(Ordering::SeqCst); // L112
             // SAFETY: head is never null and `first` is protected; a
             // sentinel is only retired after head moves off it.
+            // ord(helper-guard, sc=help): protected sentinel's next read (L113)
             let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L113
+            // ord(helper-guard, sc=help): head re-validation (L114)
             if first != self.head.load(Ordering::SeqCst) {
                 continue; // L114 failed: restart
             }
@@ -442,6 +468,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     // emptiness observation that predates the dequeue's
                     // phase selection (the L117–119 doorway guard).
                     let (cur, phase) = self.state[tid].view(Ordering::SeqCst);
+                    // ord(helper-guard, sc=help): tail re-check before
+                    // recording an empty result (L117)
                     if self.tail.load(Ordering::SeqCst) == last && cur.pending() && phase <= ph {
                         inject!(R::SITES.clear_pending_deq_empty);
                         // L118–120: record the empty result (node = null)
@@ -465,6 +493,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // the current sentinel (L127 reads the node), so helpers
                 // racing between the empty and non-empty paths agree on
                 // which node the operation is about to remove.
+                // ord(helper-guard, sc=help): head consistency check before
+                // stage 0 (L129)
                 if self.head.load(Ordering::SeqCst) == first && cur.node_addr() != first as usize {
                     inject!(R::SITES.bind_sentinel);
                     if !self.state[tid].cas_ctrl(cur, first as usize, true, false) {
@@ -476,6 +506,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // (linearization point of a successful dequeue).
                 // SAFETY: `first` is protected.
                 let locked = unsafe {
+                    // ord(linearization, sc=lock, steps=Lock): the deq_tid lock
+                    // CAS (L135)
                     (*first).deq_tid.compare_exchange(
                         NO_DEQUEUER,
                         tid as isize,
@@ -515,6 +547,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
     ) {
         let first = R::protect(local, H_NODE, &self.head); // L142
         // SAFETY: as in `help_deq`.
+        // ord(helper-guard, sc=help): protected sentinel's next read (L143)
         let next = unsafe { (*first).next.load(Ordering::SeqCst) }; // L143
         // Protect `next` before the head swing: while `first` is still
         // the head, `next` cannot have been retired (head must pass
@@ -524,6 +557,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             return;
         }
         // SAFETY: `first` is protected.
+        // ord(helper-guard, sc=help): deq_tid read identifying the lock owner
+        // (L144)
         let tid = unsafe { (*first).deq_tid.load(Ordering::SeqCst) }; // L144
         if tid == FAST_DEQUEUER {
             // Fast-locked sentinel: the `deqTid` CAS both linearized
@@ -531,10 +566,15 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // ownership (no hand-off), so step 2 is skipped. Step 3 and
             // the winner-retires rule are unchanged.
             inject!(R::SITES.swing_head);
+            // ord(helper-guard, sc=help): FAST_DEQUEUER branch: head
+            // re-validation before the helper-side swing (no descriptor to ack)
             if self.head.load(Ordering::SeqCst) == first
                 && !next.is_null()
                 && self
                     .head
+                    // ord(helper-guard, sc=swing): FAST_DEQUEUER branch: head
+                    // swing past a fast-locked sentinel (model FastFixHead);
+                    // winner owns its retirement
                     .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
@@ -556,6 +596,7 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // and let us swing head with the current operation still
             // pending.
             let cur = self.state[tid].load_ctrl(Ordering::SeqCst);
+            // ord(helper-guard, sc=help): head re-validation (L147)
             if self.head.load(Ordering::SeqCst) == first && !next.is_null() {
                 // L147. All step-2 racers compute the same `next`: they
                 // all validated `first` as head while it was protected,
@@ -572,6 +613,8 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // reader that could observe it remains.
                 if self
                     .head
+                    // ord(helper-guard, sc=swing): head swing (L150, model
+                    // FixHead); winner owns sentinel retirement
                     .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
                 {
@@ -692,6 +735,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             }
             // The swap prevents a later reap of this slot's next lease
             // from acting on a stale token.
+            // ord(reclamation, sc=token): takes the victim's reclamation token
+            // exactly once (zeroing the slot) so a later reap of the slot's
+            // next lease cannot quarantine a stale token
             let token = self.tokens[victim].swap(0, Ordering::SeqCst);
             // SAFETY: lease revoked and election won (see above).
             if token != 0 && unsafe { R::quarantine(&self.reclaim, &self.tokens, victim, token) } {
@@ -742,13 +788,20 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             // SAFETY: as in `help_enq` — a node still reachable as tail
             // cannot be retired or recycled while protected, so its
             // `next` is write-once during the window below.
+            // ord(helper-guard, sc=help): fast-path protected tail's next read
+            // classifying settled vs dangling
             let next = unsafe { (*last).next.load(Ordering::SeqCst) };
+            // ord(helper-guard, sc=help): fast-path tail re-validation before
+            // acting on the next read
             if last != self.tail.load(Ordering::SeqCst) {
                 continue;
             }
             if next.is_null() {
                 // SAFETY: `last` is protected.
                 if unsafe {
+                    // ord(linearization, sc=append, steps=FastAppend): the fast
+                    // append CAS -- same L74 linearization point as the slow
+                    // path, reached without a descriptor
                     (*last).next.compare_exchange(
                         ptr::null_mut(),
                         node,
@@ -766,6 +819,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                     // Step 3, best effort: any helper's
                     // help_finish_enq (FAST_ENQUEUER branch) also
                     // swings the tail past our node.
+                    // ord(helper-guard, sc=swing): owner's best-effort tail
+                    // swing (model FastFixTail); helpers' FAST_ENQUEUER branch
+                    // races the same CAS
                     let _ = self.tail.compare_exchange(
                         last,
                         node,
@@ -805,13 +861,22 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         loop {
             let last = R::protect(local, H_NODE, &self.tail);
             // SAFETY: as in `try_fast_enqueue`.
+            // ord(helper-guard, sc=help): test-only lagging-tail fixture
+            // (sudden-death wedge, DESIGN.md SS13.1): protected tail's next
+            // read classifying settled vs dangling
             let next = unsafe { (*last).next.load(Ordering::SeqCst) };
+            // ord(helper-guard, sc=help): test-only fixture: tail re-validation
+            // before acting on the next read
             if last != self.tail.load(Ordering::SeqCst) {
                 continue;
             }
             if next.is_null() {
                 // SAFETY: `last` is protected.
                 if unsafe {
+                    // ord(linearization, sc=append, steps=FastAppend):
+                    // test-only fixture: the fast append CAS without the step-3
+                    // tail swing -- same L74 linearization point as
+                    // try_fast_enqueue
                     (*last).next.compare_exchange(
                         ptr::null_mut(),
                         node,
@@ -849,9 +914,16 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
         for _ in 0..budget {
             inject!(R::SITES.fast_deq);
             let first = R::protect(local, H_NODE, &self.head);
+            // ord(helper-guard, sc=help): fast-path tail read for the empty/lag
+            // classification
             let last = self.tail.load(Ordering::SeqCst);
             // SAFETY: as in `help_deq` — head is never null and `first`
             // is protected, so its `next` is write-once meanwhile.
+            // ord(linearization, sc=help, steps=FastEmpty): fast-path protected
+            // sentinel's next read; with first == last, observing null here is
+            // the empty-dequeue linearization: the protected sentinel's next is
+            // write-once, so a null next proves nothing was appended after it
+            // and head cannot have moved past it
             let next = unsafe { (*first).next.load(Ordering::SeqCst) };
             // Protect `next` before any dereference: while `first` is
             // still the head, `next` cannot have been retired.
@@ -878,6 +950,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
             }
             // SAFETY: `first` is protected.
             let locked = unsafe {
+                // ord(linearization, sc=lock, steps=FastLock): the fast deq_tid
+                // lock CAS (FAST_DEQUEUER marker) -- same L135 linearization
+                // point as the slow path
                 (*first).deq_tid.compare_exchange(
                     NO_DEQUEUER,
                     FAST_DEQUEUER,
@@ -913,6 +988,9 @@ impl<T: Send, R: Reclaim> KpQueue<T, R> {
                 // owns the sentinel's retirement.
                 if self
                     .head
+                    // ord(helper-guard, sc=swing): owner's best-effort head
+                    // swing (model FastFixHead); winner retires the unlinked
+                    // sentinel
                     .compare_exchange(first, next, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
                 {
@@ -993,6 +1071,8 @@ impl<T, R: Reclaim> Drop for KpQueue<T, R> {
             // SAFETY: exclusive access; list nodes are owned by the list
             // and were boxed at birth.
             let node = unsafe { Box::from_raw(cur) };
+            // ord(reclamation): exclusive (&mut) teardown; no concurrent access
+            // remains
             cur = node.next.load(Ordering::Relaxed);
         }
     }

@@ -42,10 +42,17 @@ impl Counter {
     #[inline]
     pub(crate) fn bump(&self) {
         self.0
+            // ord(stats): single-writer counter bump: only the handle holding
+            // the block's tid writes it, so a Relaxed load + store replaces the
+            // RMW (stats.rs module docs); no synchronization intent
             .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     fn get(&self) -> u64 {
+        // ord(stats): counter read for snapshots and the advisory
+        // depth/drain/pressure gauges; Relaxed per-cell reads summed across
+        // tids -- exact at quiescence, stale by in-flight ops under load, no
+        // cross-counter consistency promised
         self.0.load(Ordering::Relaxed)
     }
 }

@@ -110,6 +110,8 @@ fn drop_releases_resident_values() {
     struct CountDrop(Arc<AtomicUsize>);
     impl Drop for CountDrop {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst counters for
+            // simplicity
             self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -123,10 +125,12 @@ fn drop_releases_resident_values() {
         for _ in 0..30 {
             drop(h.dequeue());
         }
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         assert_eq!(drops.load(Ordering::SeqCst), 30);
         drop(h);
     }
     assert_eq!(
+        // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
         drops.load(Ordering::SeqCst),
         100,
         "queue drop must free the remaining 70 values exactly once"

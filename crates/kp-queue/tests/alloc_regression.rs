@@ -235,6 +235,8 @@ where
         s.spawn(move || {
             let mut h = q.register().unwrap();
             for i in 0..total {
+                // ord(stats): test scaffolding: credit window between the split
+                // test's producer and consumer threads
                 while i - received.load(Ordering::Acquire) >= SPLIT_CREDIT {
                     std::thread::yield_now();
                 }
@@ -255,6 +257,8 @@ where
                     }
                 };
                 assert_eq!(v, i, "single-producer FIFO");
+                // ord(stats): test scaffolding: credit window between the split
+                // test's producer and consumer threads
                 received.store(i + 1, Ordering::Release);
             }
             (alloc_track::total_allocs() - mark) as u64
@@ -283,6 +287,8 @@ where
     // Even: the producer's turn for round `turn / 2`; odd: the consumer's.
     let turn = AtomicU64::new(0);
     let wait_for = |t: u64| {
+        // ord(stats): test scaffolding: turn word handing each batch between
+        // the alternating test's producer and consumer threads
         while turn.load(Ordering::Acquire) != t {
             std::thread::yield_now();
         }
@@ -296,6 +302,8 @@ where
                 let first = r * BATCH as u64;
                 batch.extend(first..first + BATCH as u64);
                 assert_eq!(h.try_enqueue_batch(&mut batch), BATCH);
+                // ord(stats): test scaffolding: turn word handing each batch
+                // between the alternating test's producer and consumer threads
                 turn.store(2 * r + 1, Ordering::Release);
             }
         });
@@ -315,6 +323,8 @@ where
                     out.iter().copied().eq(first..first + BATCH as u64),
                     "batch FIFO"
                 );
+                // ord(stats): test scaffolding: turn word handing each batch
+                // between the alternating test's producer and consumer threads
                 turn.store(2 * r + 2, Ordering::Release);
             }
             (alloc_track::total_allocs() - mark) as u64
@@ -334,6 +344,7 @@ where
     use kp_queue::QueueHandle;
     for round in 0..2 {
         if round == 1 {
+            // ord(stats): test marker delimiting the measured allocation window
             ALLOC_MARK.store(alloc_track::total_allocs(), kp_sync::atomic::Ordering::Relaxed);
         }
         std::thread::scope(|s| {
@@ -348,6 +359,7 @@ where
             }
         });
     }
+    // ord(stats): test marker delimiting the measured allocation window
     (alloc_track::total_allocs() - ALLOC_MARK.load(kp_sync::atomic::Ordering::Relaxed)) as u64
 }
 

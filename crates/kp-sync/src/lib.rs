@@ -1,10 +1,11 @@
 //! The workspace's synchronization facade: **the** import point for
 //! atomic types and cache padding in the concurrent crates.
 //!
-//! `kp-queue` (both variants), `hazard`, and `idpool` import every
-//! atomic primitive and [`CachePadded`] from here instead of from
-//! `std::sync::atomic` / `crossbeam_utils` directly. The `atomics-audit`
-//! lint enforces this (rule `facade`), which buys two things:
+//! The crates the `atomics-audit` gate scans — `kp-queue`, `hazard`,
+//! `idpool`, `wcq` and `kp-channel` — import every atomic primitive and
+//! [`CachePadded`] from here instead of from `std::sync::atomic` /
+//! `crossbeam_utils` directly. The audit enforces this (rule `facade`),
+//! which buys two things:
 //!
 //! 1. **A single choke point.** Every atomic the queue stack executes
 //!    is visible to static tooling by scanning one import graph, and a

@@ -223,7 +223,15 @@ impl<T> WcQueue<T> {
     pub fn depth(&self) -> usize {
         // Dequeues first: a concurrent completion between the two loads
         // then errs toward overcounting, never toward a negative gauge.
+        // ord(stats): advisory resident-value gauge; dequeue counter loaded
+        // first so a racing completion overcounts, never goes negative -- exact
+        // at quiescence, +1 tolerance per sudden-death kill (stranded-index
+        // rule)
         let deq = self.deq_done.load(Ordering::Relaxed);
+        // ord(stats): advisory resident-value gauge; dequeue counter loaded
+        // first so a racing completion overcounts, never goes negative -- exact
+        // at quiescence, +1 tolerance per sudden-death kill (stranded-index
+        // rule)
         let enq = self.enq_done.load(Ordering::Relaxed);
         enq.saturating_sub(deq) as usize
     }
@@ -231,6 +239,8 @@ impl<T> WcQueue<T> {
     /// Monotonic count of values removed from the queue — the drain
     /// heartbeat a shard-health watchdog compares across ticks.
     pub fn drained(&self) -> u64 {
+        // ord(stats): monotonic drain heartbeat for the overload watchdog;
+        // Relaxed, compared across ticks only
         self.deq_done.load(Ordering::Relaxed)
     }
 
@@ -245,15 +255,21 @@ impl<T> WcQueue<T> {
     /// the top of every operation (cheap pending-gauge load when no
     /// record is out).
     fn maybe_help(&self) {
+        // ord(helper-guard, sc=wcq-rec): pending-record gauge probe; zero skips
+        // the scan entirely
         if self.recs.pending.load(Ordering::SeqCst) == 0 {
             return;
         }
         for rid in 0..self.recs.records.len() {
             let rec = &self.recs.records[rid];
+            // ord(helper-guard, sc=wcq-rec): ctrl scan read: is this record
+            // pending, and at which generation
             let c = rec.ctrl.load(Ordering::SeqCst);
             if c_state(c) != ST_PENDING {
                 continue;
             }
+            // ord(helper-guard, sc=wcq-rec): arg read dispatching the pending
+            // op to its ring; the seq echo rejects mixed-generation reads
             let arg = rec.arg.load(Ordering::SeqCst);
             if arg_seq(arg) != c_seq(c) {
                 continue;
@@ -270,13 +286,21 @@ impl<T> WcQueue<T> {
     /// Publishes a slow-path op in this thread's record. Returns its seq.
     fn publish(&self, tid: usize, is_enq: bool, ring: &Ring, idx: u64) -> u64 {
         let rec = &self.recs.records[tid];
+        // ord(helper-guard, sc=wcq-rec): own ctrl read deriving the next
+        // generation number; the owner is the only writer between publishes
         let prev = rec.ctrl.load(Ordering::SeqCst);
         debug_assert_eq!(c_state(prev), ST_IDLE, "one op at a time per record");
         let seq = (c_seq(prev) + 1) & CTRL_SEQ_MASK;
         rec.arg
+            // ord(doorway, sc=wcq-rec): publishes the operation's argument word
+            // before the ctrl goes pending
             .store(pack_arg(seq, is_enq, ring.sel(), idx), Ordering::SeqCst);
+        // ord(doorway, sc=wcq-rec): pending-gauge increment: the announcement
+        // the helpers' gauge probe must observe
         self.recs.pending.fetch_add(1, Ordering::SeqCst);
         rec.ctrl
+            // ord(doorway, sc=wcq-rec): ctrl word goes PENDING; must follow the
+            // arg and gauge in the total order
             .store(pack_ctrl(ST_PENDING, seq, TICKET_UNSET), Ordering::SeqCst);
         seq
     }
@@ -286,6 +310,10 @@ impl<T> WcQueue<T> {
         let rec = &self.recs.records[tid];
         loop {
             ring.help_record(&self.recs, tid);
+            // ord(helper-guard, sc=wcq-rec): owner re-reads its ctrl word
+            // between self-help rounds; the slow-path completion also bumps the
+            // Relaxed depth-gauge counters (same argument as the fast-path
+            // bumps in try_enqueue/try_dequeue)
             let c = rec.ctrl.load(Ordering::SeqCst);
             if c_seq(c) == seq && c_state(c) != ST_PENDING {
                 return (c_state(c), c_ticket(c));
@@ -298,9 +326,14 @@ impl<T> WcQueue<T> {
     /// pending-gauge count.
     fn retire(&self, tid: usize, seq: u64, tk: u64) {
         let rec = &self.recs.records[tid];
+        // ord(helper-guard, sc=wcq-rec): done-state read before the idle
+        // transition
         let done = rec.ctrl.load(Ordering::SeqCst);
         if rec
             .ctrl
+            // ord(doorway, sc=wcq-rec): DONE -> IDLE transition; a CAS so the
+            // gauge decrement below happens exactly once even against a racing
+            // generation
             .compare_exchange(
                 done,
                 pack_ctrl(ST_IDLE, seq, tk),
@@ -309,6 +342,8 @@ impl<T> WcQueue<T> {
             )
             .is_ok()
         {
+            // ord(doorway, sc=wcq-rec): pending-gauge decrement, balancing
+            // publish's increment
             self.recs.pending.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -460,6 +495,9 @@ impl<T: Send> WcqHandle<'_, T> {
         // of the (uninitialized) slot until the `aq` enqueue publishes it.
         unsafe { (*q.data[idx as usize].get()).write(value) };
         let slow2 = q.ring_enqueue(&q.aq, tid, idx);
+        // ord(stats): depth-gauge bump after the value is published in the
+        // ring; Relaxed -- the gauge is advisory (admission hint), the ring's
+        // own SeqCst protocol carries the value
         q.enq_done.fetch_add(1, Ordering::Relaxed);
         op_end();
         self.tally(slow1 as u64 + slow2 as u64);
@@ -482,6 +520,8 @@ impl<T: Send> WcqHandle<'_, T> {
         // before the index was published there, and this dequeuer owns
         // the slot exclusively until the `fq` enqueue recycles it.
         let value = unsafe { (*q.data[idx as usize].get()).assume_init_read() };
+        // ord(stats): depth-gauge bump after the value is taken from the ring;
+        // Relaxed for the same reason as try_enqueue's
         q.deq_done.fetch_add(1, Ordering::Relaxed);
         let slow2 = q.ring_enqueue(&q.fq, tid, idx);
         op_end();
@@ -527,6 +567,9 @@ impl<T> Drop for WcqHandle<'_, T> {
         let q = self.queue;
         let tid = self.lease.id();
         let rec = &q.recs.records[tid];
+        // ord(reclamation, sc=wcq-rec): handle-drop cleanup: finishes or
+        // retires the dying handle's pending record (and recycles a stranded
+        // index) before the tid lease can be re-acquired
         let c = rec.ctrl.load(Ordering::SeqCst);
         if c_state(c) == ST_IDLE {
             return;
@@ -534,9 +577,15 @@ impl<T> Drop for WcqHandle<'_, T> {
         // The thread died (panic/kill) mid-slow-op: drive the record
         // to completion, make its effect whole, and retire it so the
         // slot's next tenant starts clean.
+        // ord(reclamation, sc=wcq-rec): handle-drop cleanup: finishes or
+        // retires the dying handle's pending record (and recycles a stranded
+        // index) before the tid lease can be re-acquired
         let arg = rec.arg.load(Ordering::SeqCst);
         let ring = if arg_ring(arg) == SEL_AQ { &q.aq } else { &q.fq };
         ring.help_record(&q.recs, tid);
+        // ord(reclamation, sc=wcq-rec): handle-drop cleanup: finishes or
+        // retires the dying handle's pending record (and recycles a stranded
+        // index) before the tid lease can be re-acquired
         let c = rec.ctrl.load(Ordering::SeqCst);
         let (st, seq, tk) = (c_state(c), c_seq(c), c_ticket(c));
         let mut stranded = None;
@@ -546,6 +595,10 @@ impl<T> Drop for WcqHandle<'_, T> {
                 if ring.sel() == SEL_AQ {
                     // The killed thread's value enqueue took effect but
                     // never reached its fast-path gauge bump.
+                    // ord(stats): depth-gauge bump the killed enqueue never
+                    // made: its value landed in the ring but the op died before
+                    // the fast-path bump; Relaxed -- the gauge is advisory, as
+                    // in try_enqueue
                     q.enq_done.fetch_add(1, Ordering::Relaxed);
                 }
             } else {
@@ -560,6 +613,9 @@ impl<T> Drop for WcqHandle<'_, T> {
                     // exactly as in `try_dequeue`.
                     unsafe { (*q.data[idx as usize].get()).assume_init_drop() };
                     // Grave-dropped values still left the queue.
+                    // ord(stats): depth-gauge bump the killed dequeue never
+                    // made: the grave-dropped value still left the queue;
+                    // Relaxed -- the gauge is advisory, as in try_dequeue
                     q.deq_done.fetch_add(1, Ordering::Relaxed);
                 }
                 stranded = Some(idx);

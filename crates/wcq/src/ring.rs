@@ -69,7 +69,8 @@
 //! SCQ's emptiness and safety checks are cross-variable (entry vs
 //! `head`/`tail` vs `threshold`), and the helping handshake orders
 //! `ctrl` against entries; `SeqCst` loads are free on x86 and the RMWs
-//! are lock-prefixed at any ordering. See ATOMICS.toml.
+//! are lock-prefixed at any ordering. Each site's `// ord(...)` tag
+//! names the shared `sc=wcq` or `sc=wcq-rec` argument.
 
 use kp_sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use kp_sync::CachePadded;
@@ -289,13 +290,19 @@ impl Ring {
         };
         for i in 0..prefill {
             let (j, cycle) = ring.decode(i as u64);
+            // ord(helper-guard): single-threaded initialisation before the
+            // structure is shared
             ring.entries[j].store(
                 pack_entry(cycle, true, true, TID_NONE, i as u64),
                 Ordering::Relaxed,
             );
         }
         if prefill > 0 {
+            // ord(helper-guard): single-threaded initialisation before the
+            // structure is shared
             ring.tail.store(prefill as u64, Ordering::Relaxed);
+            // ord(helper-guard): single-threaded initialisation before the
+            // structure is shared
             ring.threshold.store(ring.threshold_reset(), Ordering::Relaxed);
         }
         ring
@@ -332,8 +339,14 @@ impl Ring {
     fn reset_threshold(&self) {
         inject!("wcq.threshold");
         let reset = self.threshold_reset();
+        // ord(helper-guard, sc=wcq): skip the reset store when the threshold
+        // already holds 3n-1
         if self.threshold.load(Ordering::SeqCst) != reset {
+            // ord(helper-guard, sc=wcq): threshold reset to 3n-1 after a
+            // completed enqueue (SCQ's emptiness credit)
             self.threshold.store(reset, Ordering::SeqCst);
+            // ord(stats): reset-observability counter for tests and the
+            // shootout; no synchronization intent
             self.resets.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -343,10 +356,19 @@ impl Ring {
     fn catchup(&self, mut t: u64, mut h: u64) {
         while self
             .tail
+            // ord(helper-guard, sc=wcq): drags tail up to head after a dequeuer
+            // outran the enqueuers (SCQ catchup); failure values re-read in the
+            // loop
             .compare_exchange_weak(t, h, Ordering::SeqCst, Ordering::Relaxed)
             .is_err()
         {
+            // ord(helper-guard, sc=wcq): drags tail up to head after a dequeuer
+            // outran the enqueuers (SCQ catchup); failure values re-read in the
+            // loop
             t = self.tail.load(Ordering::SeqCst);
+            // ord(helper-guard, sc=wcq): drags tail up to head after a dequeuer
+            // outran the enqueuers (SCQ catchup); failure values re-read in the
+            // loop
             h = self.head.load(Ordering::SeqCst);
             if t >= h {
                 break;
@@ -356,10 +378,14 @@ impl Ring {
 
     /// Ensures `tail > tk` (slow path, before installing at ticket `tk`).
     fn advance_tail_past(&self, tk: u64) {
+        // ord(helper-guard, sc=wcq): slow path: tail must pass the record's
+        // ticket before its tentative install can count
         let mut t = self.tail.load(Ordering::SeqCst);
         while t <= tk {
             match self
                 .tail
+                // ord(helper-guard, sc=wcq): slow path: tail must pass the
+                // record's ticket before its tentative install can count
                 .compare_exchange_weak(t, tk + 1, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => return,
@@ -370,10 +396,14 @@ impl Ring {
 
     /// Ensures `head > tk` (slow path, before claiming at ticket `tk`).
     fn advance_head_past(&self, tk: u64) {
+        // ord(helper-guard, sc=wcq): slow path: head must pass the record's
+        // ticket before its claim can stand
         let mut h = self.head.load(Ordering::SeqCst);
         while h <= tk {
             match self
                 .head
+                // ord(helper-guard, sc=wcq): slow path: head must pass the
+                // record's ticket before its claim can stand
                 .compare_exchange_weak(h, tk + 1, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => return,
@@ -391,17 +421,25 @@ impl Ring {
     pub(crate) fn enqueue_fast(&self, idx: u64, patience: usize) -> Result<(), ()> {
         for _ in 0..patience {
             inject!("wcq.enq");
+            // ord(helper-guard, sc=wcq): tail FAA: takes the enqueue ticket
             let t = self.tail.fetch_add(1, Ordering::SeqCst);
             let (j, cycle) = self.decode(t);
+            // ord(helper-guard, sc=wcq): entry read at the ticket's decoded
+            // slot
             let mut e = self.entries[j].load(Ordering::SeqCst);
             loop {
                 if cycle_lt(e_cycle(e), cycle)
                     && e_idx(e) == IDX_NULL
+                    // ord(helper-guard, sc=wcq): head read for the unsafe-entry
+                    // admission check
                     && (e_safe(e) || self.head.load(Ordering::SeqCst) <= t)
                 {
                     let new = pack_entry(cycle, true, true, TID_NONE, idx);
                     match self
                         .entries[j]
+                        // ord(helper-guard, sc=wcq): the value-install CAS; the
+                        // failure value re-enters the admission test, so both
+                        // orderings are SeqCst
                         .compare_exchange_weak(e, new, Ordering::SeqCst, Ordering::SeqCst)
                     {
                         Ok(_) => {
@@ -426,14 +464,19 @@ impl Ring {
         recs: &RecordSet,
         patience: usize,
     ) -> Result<DeqOutcome, ()> {
+        // ord(helper-guard, sc=wcq): threshold pre-check: negative means
+        // observably empty without burning a ticket
         if self.threshold.load(Ordering::SeqCst) < 0 {
             return Ok(DeqOutcome::Empty);
         }
         for _ in 0..patience {
             inject!("wcq.deq");
+            // ord(helper-guard, sc=wcq): head FAA: takes the dequeue ticket
             let h = self.head.fetch_add(1, Ordering::SeqCst);
             let (j, cycle) = self.decode(h);
             loop {
+                // ord(helper-guard, sc=wcq): entry read at the ticket's decoded
+                // slot
                 let e = self.entries[j].load(Ordering::SeqCst);
                 if e_cycle(e) == cycle {
                     if !e_fin(e) {
@@ -451,6 +494,9 @@ impl Ring {
                             }
                         } else {
                             let new = pack_entry(cycle, e_safe(e), true, TID_NONE, IDX_NULL);
+                            // ord(helper-guard, sc=wcq): the value-take CAS
+                            // (idx swapped out); failure re-enters the entry
+                            // state machine, so both orderings are SeqCst
                             match self.entries[j].compare_exchange_weak(
                                 e,
                                 new,
@@ -475,6 +521,9 @@ impl Ring {
                     if new != e
                         && self
                             .entries[j]
+                            // ord(helper-guard, sc=wcq): advance-empty /
+                            // unsafe-mark CAS on a not-yet-produced entry
+                            // (SCQ's dequeue rule)
                             .compare_exchange_weak(e, new, Ordering::SeqCst, Ordering::SeqCst)
                             .is_err()
                     {
@@ -482,14 +531,20 @@ impl Ring {
                     }
                 }
                 // Dead ticket: emptiness bookkeeping.
+                // ord(helper-guard, sc=wcq): tail read classifying a dead
+                // ticket as emptiness vs a lost race
                 let t = self.tail.load(Ordering::SeqCst);
                 if t <= h + 1 {
                     self.catchup(t, h + 1);
                     inject!("wcq.threshold");
+                    // ord(helper-guard, sc=wcq): threshold decrement on the
+                    // caught-up-empty path
                     self.threshold.fetch_sub(1, Ordering::SeqCst);
                     return Ok(DeqOutcome::Empty);
                 }
                 inject!("wcq.threshold");
+                // ord(helper-guard, sc=wcq): threshold decrement per dead
+                // ticket; reaching zero is the empty verdict
                 if self.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 {
                     return Ok(DeqOutcome::Empty);
                 }
@@ -508,12 +563,15 @@ impl Ring {
         let rec = &recs.records[rid];
         loop {
             inject!("wcq.help");
+            // ord(helper-guard, sc=wcq-rec): ctrl read opening a help iteration
             let c = rec.ctrl.load(Ordering::SeqCst);
             if c_state(c) != ST_PENDING {
                 return;
             }
             let seq = c_seq(c);
             let tk = c_ticket(c);
+            // ord(helper-guard, sc=wcq-rec): arg re-read; the seq+ring echo
+            // rejects stale dispatches
             let arg = rec.arg.load(Ordering::SeqCst);
             if arg_seq(arg) != seq || arg_ring(arg) != self.sel {
                 // Mixed-generation read (owner mid-republish) or a stale
@@ -522,7 +580,11 @@ impl Ring {
             }
             if arg_is_enq(arg) {
                 if tk == TICKET_UNSET {
+                    // ord(helper-guard, sc=wcq): tail read seeding an unset
+                    // enqueue ticket
                     let t0 = self.tail.load(Ordering::SeqCst);
+                    // ord(helper-guard, sc=wcq-rec): installs the enqueue
+                    // ticket into the ctrl word
                     let _ = rec.ctrl.compare_exchange(
                         c,
                         pack_ctrl(ST_PENDING, seq, t0),
@@ -534,7 +596,11 @@ impl Ring {
                 self.help_enq_step(rec, c, tk, rid as u64, arg_idx(arg));
             } else {
                 if tk == TICKET_UNSET {
+                    // ord(helper-guard, sc=wcq): threshold read: a negative
+                    // value completes a ticketless dequeue as EMPTY
                     if self.threshold.load(Ordering::SeqCst) < 0 {
+                        // ord(helper-guard, sc=wcq-rec): DONE_EMPTY transition
+                        // for a ticketless dequeue under a negative threshold
                         let _ = rec.ctrl.compare_exchange(
                             c,
                             pack_ctrl(ST_DONE_EMPTY, seq, tk),
@@ -543,7 +609,11 @@ impl Ring {
                         );
                         continue;
                     }
+                    // ord(helper-guard, sc=wcq): head read seeding an unset
+                    // dequeue ticket
                     let h0 = self.head.load(Ordering::SeqCst);
+                    // ord(helper-guard, sc=wcq-rec): installs the dequeue
+                    // ticket into the ctrl word
                     let _ = rec.ctrl.compare_exchange(
                         c,
                         pack_ctrl(ST_PENDING, seq, h0),
@@ -561,6 +631,7 @@ impl Ring {
     fn help_enq_step(&self, rec: &Record, c: u64, tk: u64, tid: u64, idx: u64) {
         let seq = c_seq(c);
         let (j, cycle) = self.decode(tk);
+        // ord(helper-guard, sc=wcq): entry read at the record's ticket
         let e = self.entries[j].load(Ordering::SeqCst);
         let tentative = pack_entry(cycle, true, false, tid, idx);
         let finalized = pack_entry(cycle, true, true, TID_NONE, idx);
@@ -573,6 +644,9 @@ impl Ring {
             let done = pack_ctrl(ST_DONE_OK, seq, tk);
             let won = match rec
                 .ctrl
+                // ord(helper-guard, sc=wcq-rec): DONE_OK transition for a
+                // parked tentative; the failure value is re-tested for the
+                // already-done echo, so both orderings are SeqCst
                 .compare_exchange(c, done, Ordering::SeqCst, Ordering::SeqCst)
             {
                 Ok(_) => true,
@@ -585,6 +659,8 @@ impl Ring {
             };
             if self
                 .entries[j]
+                // ord(helper-guard, sc=wcq): finalize-or-invalidate of the
+                // parked tentative, decided by the ctrl race above
                 .compare_exchange(tentative, next, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
                 && won
@@ -600,6 +676,8 @@ impl Ring {
         }
         if cycle_lt(e_cycle(e), cycle)
             && e_idx(e) == IDX_NULL
+            // ord(helper-guard, sc=wcq): head read for the installable
+            // admission check
             && (e_safe(e) || self.head.load(Ordering::SeqCst) <= tk)
         {
             // Installable: reserve the position (tail must pass it
@@ -607,12 +685,17 @@ impl Ring {
             self.advance_tail_past(tk);
             let _ = self
                 .entries[j]
+                // ord(helper-guard, sc=wcq): parks the tentative entry at a
+                // reserved position
                 .compare_exchange(e, tentative, Ordering::SeqCst, Ordering::Relaxed);
             return;
         }
         // Dead ticket (occupied, cycle passed, or unsafe with head
         // beyond it): move the record to a fresh tail position.
+        // ord(helper-guard, sc=wcq): tail read re-ticketing a dead position
         let next = self.tail.load(Ordering::SeqCst).max(tk + 1);
+        // ord(helper-guard, sc=wcq-rec): moves the record to a fresh tail
+        // ticket
         let _ = rec.ctrl.compare_exchange(
             c,
             pack_ctrl(ST_PENDING, seq, next.min(TICKET_UNSET - 1)),
@@ -625,6 +708,7 @@ impl Ring {
     fn help_deq_step(&self, recs: &RecordSet, rec: &Record, c: u64, tk: u64, tid: u64) {
         let seq = c_seq(c);
         let (j, cycle) = self.decode(tk);
+        // ord(helper-guard, sc=wcq): entry read at the record's ticket
         let e = self.entries[j].load(Ordering::SeqCst);
         if e_cycle(e) == cycle && !e_fin(e) {
             // A tentative enqueue sits at our position: its fate decides
@@ -640,6 +724,8 @@ impl Ring {
                 let claimed = pack_entry(cycle, e_safe(e), true, tid, e_idx(e));
                 let _ = self
                     .entries[j]
+                    // ord(helper-guard, sc=wcq): claims a live value for the
+                    // record (tid-tagged entry)
                     .compare_exchange(e, claimed, Ordering::SeqCst, Ordering::Relaxed);
                 return;
             }
@@ -647,6 +733,8 @@ impl Ring {
                 // Our claim is parked here: finish the ctrl handshake.
                 // Only the owner consumes the entry afterwards.
                 inject!("wcq.finalize");
+                // ord(helper-guard, sc=wcq-rec): our claim is parked here: the
+                // DONE_OK ctrl handshake
                 let _ = rec.ctrl.compare_exchange(
                     c,
                     pack_ctrl(ST_DONE_OK, seq, tk),
@@ -669,6 +757,8 @@ impl Ring {
             if new != e
                 && self
                     .entries[j]
+                    // ord(helper-guard, sc=wcq): advance-empty / unsafe-mark
+                    // CAS, SCQ's dequeue rule on the slow path
                     .compare_exchange(e, new, Ordering::SeqCst, Ordering::Relaxed)
                     .is_err()
             {
@@ -677,12 +767,17 @@ impl Ring {
         }
         // Dead ticket: emptiness bookkeeping, one threshold decrement
         // per abandoned ticket, charged by the ctrl-transition winner.
+        // ord(helper-guard, sc=wcq): tail read classifying a dead ticket as
+        // emptiness vs a lost race
         let t = self.tail.load(Ordering::SeqCst);
         if t <= tk + 1 {
             self.catchup(t, tk + 1);
             inject!("wcq.threshold");
             if rec
                 .ctrl
+                // ord(helper-guard, sc=wcq-rec): DONE_EMPTY transition on the
+                // caught-up-empty path; the winner owns the threshold decrement
+                // below
                 .compare_exchange(
                     c,
                     pack_ctrl(ST_DONE_EMPTY, seq, tk),
@@ -691,19 +786,28 @@ impl Ring {
                 )
                 .is_ok()
             {
+                // ord(helper-guard, sc=wcq): threshold decrement charged to the
+                // ctrl-transition winner (exactly once per dead ticket)
                 self.threshold.fetch_sub(1, Ordering::SeqCst);
             }
             return;
         }
+        // ord(helper-guard, sc=wcq): head read re-ticketing a dead position
         let next = self.head.load(Ordering::SeqCst).max(tk + 1);
         let moved = pack_ctrl(ST_PENDING, seq, next.min(TICKET_UNSET - 1));
         if rec
             .ctrl
+            // ord(helper-guard, sc=wcq-rec): moves the record to a fresh head
+            // ticket; the winner owns the decrement below
             .compare_exchange(c, moved, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
             inject!("wcq.threshold");
+            // ord(helper-guard, sc=wcq): threshold decrement per dead ticket;
+            // exhausting it completes the record as EMPTY
             if self.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                // ord(helper-guard, sc=wcq-rec): DONE_EMPTY transition when the
+                // decrement exhausted the threshold
                 let _ = rec.ctrl.compare_exchange(
                     moved,
                     pack_ctrl(ST_DONE_EMPTY, seq, next.min(TICKET_UNSET - 1)),
@@ -722,7 +826,10 @@ impl Ring {
         let cycle = e_cycle(e);
         let idx = e_idx(e);
         let rec = &recs.records[rid];
+        // ord(helper-guard, sc=wcq-rec): ctrl read of the tentative's record
         let c = rec.ctrl.load(Ordering::SeqCst);
+        // ord(helper-guard, sc=wcq-rec): arg read; the full seq/ring/idx echo
+        // decides whether the tentative still belongs to the record
         let arg = rec.arg.load(Ordering::SeqCst);
         let here = c_ticket(c) != TICKET_UNSET && {
             let (j2, cy2) = self.decode(c_ticket(c));
@@ -735,6 +842,8 @@ impl Ring {
             && arg_idx(arg) == idx;
         if matches && c_state(c) == ST_PENDING {
             inject!("wcq.finalize");
+            // ord(helper-guard, sc=wcq-rec): DONE_OK transition on behalf of
+            // the parked record
             let _ = rec.ctrl.compare_exchange(
                 c,
                 pack_ctrl(ST_DONE_OK, c_seq(c), c_ticket(c)),
@@ -748,6 +857,8 @@ impl Ring {
             let finalized = pack_entry(cycle, true, true, TID_NONE, idx);
             if self
                 .entries[j]
+                // ord(helper-guard, sc=wcq): publishes the final bit of a won
+                // tentative
                 .compare_exchange(e, finalized, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
@@ -761,6 +872,8 @@ impl Ring {
         let consumed = pack_entry(cycle, true, true, TID_NONE, IDX_NULL);
         let _ = self
             .entries[j]
+            // ord(helper-guard, sc=wcq): invalidates an orphaned tentative (its
+            // record moved on)
             .compare_exchange(e, consumed, Ordering::SeqCst, Ordering::Relaxed);
     }
 
@@ -770,7 +883,10 @@ impl Ring {
         let rid = e_tid(e) as usize;
         let cycle = e_cycle(e);
         let rec = &recs.records[rid];
+        // ord(helper-guard, sc=wcq-rec): ctrl read of the claiming record
         let c = rec.ctrl.load(Ordering::SeqCst);
+        // ord(helper-guard, sc=wcq-rec): arg read; the seq/ring echo validates
+        // the claim's provenance
         let arg = rec.arg.load(Ordering::SeqCst);
         let matches = c_ticket(c) != TICKET_UNSET
             && arg_seq(arg) == c_seq(c)
@@ -782,6 +898,8 @@ impl Ring {
             };
         if matches && c_state(c) == ST_PENDING {
             inject!("wcq.finalize");
+            // ord(helper-guard, sc=wcq-rec): DONE_OK transition finishing the
+            // claim for its record
             let _ = rec.ctrl.compare_exchange(
                 c,
                 pack_ctrl(ST_DONE_OK, c_seq(c), c_ticket(c)),
@@ -802,6 +920,9 @@ impl Ring {
         let restored = pack_entry(cycle, e_safe(e), true, TID_NONE, e_idx(e));
         let _ = self
             .entries[j]
+            // ord(helper-guard, sc=wcq): defensive value-restore for a claim
+            // with no record behind it (unreachable by the full-word-CAS
+            // argument; restoring is the safe direction)
             .compare_exchange(e, restored, Ordering::SeqCst, Ordering::Relaxed);
         Resolution::Retry
     }
@@ -816,6 +937,9 @@ impl Ring {
         inject!("wcq.finalize");
         if self
             .entries[j]
+            // ord(helper-guard, sc=wcq): owner-side: publishes the final bit if
+            // the DONE-transition winner died between the ctrl CAS and the
+            // entry CAS
             .compare_exchange(tentative, finalized, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
@@ -828,6 +952,8 @@ impl Ring {
     pub(crate) fn consume_claim(&self, tk: u64, tid: u64) -> u64 {
         let (j, cycle) = self.decode(tk);
         loop {
+            // ord(helper-guard, sc=wcq): re-reads the claimed entry before
+            // consuming it
             let e = self.entries[j].load(Ordering::SeqCst);
             debug_assert!(
                 e_cycle(e) == cycle && e_fin(e) && e_tid(e) == tid && e_idx(e) != IDX_NULL,
@@ -839,6 +965,9 @@ impl Ring {
             let consumed = pack_entry(cycle, e_safe(e), true, TID_NONE, IDX_NULL);
             if self
                 .entries[j]
+                // ord(helper-guard, sc=wcq): owner consumes its won claim (idx
+                // swapped out); the failure value is re-read in the loop, so
+                // both orderings are SeqCst
                 .compare_exchange(e, consumed, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
@@ -854,6 +983,8 @@ impl Ring {
     pub(crate) fn live_indices(&self) -> Vec<u64> {
         self.entries
             .iter()
+            // ord(reclamation): teardown walk under exclusive access (Drop); no
+            // concurrent access remains
             .map(|e| e.load(Ordering::Relaxed))
             .filter(|&e| e_idx(e) != IDX_NULL)
             .map(e_idx)
@@ -864,12 +995,15 @@ impl Ring {
     /// empty since the last completed enqueue).
     #[inline]
     pub(crate) fn threshold_value(&self) -> i64 {
+        // ord(stats, sc=quiescent): diagnostic threshold snapshot
         self.threshold.load(Ordering::SeqCst)
     }
 
     /// Cumulative threshold-counter resets (diagnostic).
     #[inline]
     pub(crate) fn resets(&self) -> u64 {
+        // ord(stats): reset-counter snapshot; Relaxed pairs with the Relaxed
+        // bump
         self.resets.load(Ordering::Relaxed)
     }
 }

@@ -66,6 +66,8 @@ fn drop_releases_leftover_values() {
     struct Counted;
     impl Drop for Counted {
         fn drop(&mut self) {
+            // ord(stats, sc): test scaffolding uses SeqCst counters for
+            // simplicity
             DROPS.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -79,8 +81,10 @@ fn drop_releases_leftover_values() {
             drop(h.try_dequeue().unwrap());
         }
     }
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(DROPS.load(Ordering::SeqCst), 4);
     drop(q);
+    // ord(stats, sc): test scaffolding uses SeqCst counters for simplicity
     assert_eq!(DROPS.load(Ordering::SeqCst), 10);
 }
 
@@ -138,11 +142,14 @@ fn full_and_empty_under_contention() {
                     let v = (p * PER + i) as u64;
                     match h.try_enqueue(v) {
                         Ok(()) => {
+                            // ord(stats): test scaffolding
                             accepted.fetch_add(1, Ordering::Relaxed);
+                            // ord(stats): test scaffolding
                             accepted_sum.fetch_add(v as usize, Ordering::Relaxed);
                         }
                         Err(Full(back)) => {
                             assert_eq!(back, v, "Full must hand back the same value");
+                            // ord(stats): test scaffolding
                             rejected.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -161,7 +168,9 @@ fn full_and_empty_under_contention() {
                     match h.try_dequeue() {
                         Ok(v) => {
                             empties = 0;
+                            // ord(stats): test scaffolding
                             consumed.fetch_add(1, Ordering::Relaxed);
+                            // ord(stats): test scaffolding
                             consumed_sum.fetch_add(v as usize, Ordering::Relaxed);
                         }
                         Err(Empty) => {
@@ -179,13 +188,18 @@ fn full_and_empty_under_contention() {
         leftover.push(v as usize);
     }
     assert!(leftover.len() <= 8, "leftover cannot exceed capacity");
+    // ord(stats): test scaffolding
     let acc = accepted.load(Ordering::Relaxed);
+    // ord(stats): test scaffolding
     let rej = rejected.load(Ordering::Relaxed);
+    // ord(stats): test scaffolding
     let con = consumed.load(Ordering::Relaxed);
     assert_eq!(acc + rej, THREADS * PER);
     assert_eq!(acc, con + leftover.len(), "accepted = consumed + leftover");
     assert_eq!(
+        // ord(stats): test scaffolding
         accepted_sum.load(Ordering::Relaxed),
+        // ord(stats): test scaffolding
         consumed_sum.load(Ordering::Relaxed) + leftover.iter().sum::<usize>(),
         "value checksum must balance: no loss, no duplication"
     );
@@ -346,8 +360,10 @@ fn depth_gauge_settles_under_contention() {
             let taken = &taken;
             s.spawn(move || {
                 let mut h = q.register().unwrap();
+                // ord(stats): test scaffolding
                 while taken.load(Ordering::Relaxed) < 2 * PER as usize {
                     if h.try_dequeue().is_ok() {
+                        // ord(stats): test scaffolding
                         taken.fetch_add(1, Ordering::Relaxed);
                     } else {
                         std::thread::yield_now();

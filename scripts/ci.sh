@@ -3,11 +3,13 @@
 #
 #   1. release build + full workspace test suite (tier-1, see ROADMAP.md)
 #   2. clippy with warnings denied, all targets
-#   3. atomics audit: every atomic call site and unsafe occurrence must
-#      match ATOMICS.toml (see DESIGN.md SS11), plus a self-test that the
-#      gate actually fails on an undocumented atomic
-#   4. the epoch shim's unit tests, kp-queue's full suite and the
-#      harness's unit tests (tier-1 covers only the root package)
+#   3. atomics audit: every atomic call site needs a `// ord(...)` tag
+#      and every unsafe occurrence a SAFETY comment (see DESIGN.md SS11),
+#      plus a self-test that the gate actually fails on an untagged atomic
+#   4. the unit suites tier-1 does not reach (it covers only the root
+#      package): the audit's own tests, the exhaustive kp-model, the
+#      supporting crates, the epoch shim, kp-queue's full suite and the
+#      harness
 #   5. a short seeded chaos-torture smoke (fault-injection suite with a
 #      reduced seed matrix; scripts/torture.sh runs the full sweep)
 #   6. per-subsystem gates (fast path, wCQ, channel, overload), each a
@@ -48,28 +50,35 @@ cargo test -q
 echo "=== clippy (warnings denied) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== atomics audit (ATOMICS.toml manifest) ==="
+echo "=== atomics audit (// ord(...) tags) ==="
 cargo run -q -p atomics-audit
 
-echo "=== atomics audit self-test (gate must fail on an undocumented atomic) ==="
-# Inject an unlisted atomic into a scratch copy of the audited tree and
-# assert the gate goes red. Guards against the failure mode where the
-# scanner silently matches nothing and "passes" an empty audit.
+echo "=== atomics audit self-test (gate must fail on an untagged atomic) ==="
+# Inject an untagged atomic into a scratch copy of the crates and assert
+# the gate goes red. Guards against the failure mode where the scanner
+# silently matches nothing and "passes" an empty audit. All of crates/
+# is copied, so the scope list lives only in the audit crate.
 selftest_dir="$(mktemp -d)"
 trap 'rm -rf "$selftest_dir"' EXIT
-mkdir -p "$selftest_dir/crates"
-cp -r crates/kp-queue crates/hazard crates/idpool crates/wcq crates/kp-channel "$selftest_dir/crates/"
+cp -r crates "$selftest_dir/"
 cat >> "$selftest_dir/crates/idpool/src/lib.rs" <<'EOF'
 
 fn _audit_selftest_undocumented(x: &kp_sync::atomic::AtomicUsize) -> usize {
     x.load(kp_sync::atomic::Ordering::SeqCst)
 }
 EOF
-if cargo run -q -p atomics-audit -- --root "$selftest_dir" --manifest ATOMICS.toml >/dev/null 2>&1; then
-    echo "ci: FAIL — audit passed despite an injected undocumented atomic" >&2
+if cargo run -q -p atomics-audit -- --root "$selftest_dir" >/dev/null 2>&1; then
+    echo "ci: FAIL — audit passed despite an injected untagged atomic" >&2
     exit 1
 fi
 echo "self-test ok: injected atomic was caught"
+
+echo "=== crate unit suites (not in tier-1) ==="
+# The audit's rule and tag-binder tests plus model_xref (linearization
+# tags against kp-model's step names), the exhaustive SS3.1 model, and
+# the supporting crates' own suites.
+cargo test --release -q -p atomics-audit -p hazard -p idpool -p kp-model -p linearize \
+    -p ms-queue -p queue-traits -p kp-sync -p alloc-track -p chaos
 
 echo "=== epoch shim (shims/crossbeam-epoch) ==="
 # The reclamation engine under the KP epoch variant: pin/unpin, the

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the concurrent test suites under ThreadSanitizer, which observes
 # the *actual* memory orderings the hardware executes — the dynamic
-# complement to the static ATOMICS.toml audit: the audit proves every
-# ordering is claimed and justified; TSan catches a justification that
-# is wrong at runtime (a data race the Acquire/Release pairing fails to
+# complement to the static atomics audit: the audit proves every
+# ordering carries a `// ord(...)` tag that justifies it; TSan catches a
+# justification that is wrong at runtime (a data race the Acquire/Release pairing fails to
 # close).
 #
 # Best-effort by design: -Zsanitizer=thread needs a nightly toolchain
